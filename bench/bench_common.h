@@ -111,6 +111,18 @@ class BenchJson {
     rows_.back().emplace_back(key, "\"" + value + "\"");
   }
 
+  // Provenance element: the git revision, host and CPU the rows were
+  // measured on. It carries no "config", so scripts/diff_bench.py never
+  // compares it as a row.
+  void Stamp() {
+    BeginRow();
+    Add("git_sha", FirstLineOf("git describe --always --dirty --abbrev=12"));
+    Add("host", FirstLineOf("hostname"));
+    Add("cpu", FirstLineOf("sed -n 's/^model name[[:space:]]*: //p' "
+                           "/proc/cpuinfo"));
+    Add("hw_threads", HwThreads());
+  }
+
   bool WriteFile(const std::string& path) const {
     std::ostringstream os;
     os << "[\n";
@@ -134,6 +146,21 @@ class BenchJson {
   }
 
  private:
+  // First output line of a shell command, minus characters a JSON string
+  // would need escaped; "unknown" when the command prints nothing.
+  static std::string FirstLineOf(const std::string& command) {
+    std::string line;
+    if (FILE* p = ::popen((command + " 2>/dev/null").c_str(), "r")) {
+      for (int c = std::fgetc(p); c != EOF && c != '\n'; c = std::fgetc(p)) {
+        if (c != '"' && c != '\\') {
+          line.push_back(static_cast<char>(c));
+        }
+      }
+      ::pclose(p);
+    }
+    return line.empty() ? "unknown" : line;
+  }
+
   std::vector<std::vector<std::pair<std::string, std::string>>> rows_;
 };
 

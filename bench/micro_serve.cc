@@ -4,21 +4,22 @@
 // ElasticWorker with the replica feed on, and the serve load generator as
 // the client — the exact three-process serving topology of
 // tools/kv_gateway + elastic_worker --serve + kv_loadgen, minus the process
-// boundaries. Four stories, each a fresh fleet so no controller state leaks
-// between rows:
+// boundaries. Three stories, each row a fresh fleet so no gateway state
+// leaks between rows:
 //
 //   1. Load sweep: open-loop QPS vs p50/p99 at several offered loads
 //      (latency measured from the scheduled send time — no coordinated
 //      omission), plus a closed-loop row.
-//   2. Batch policy: fixed batch 1 vs fixed 512 vs the SLO-adaptive AIMD
-//      controller at a demanding offered load. The adaptive row must hold
-//      p99 within 2x the SLO at comparable throughput.
-//   3. Peak: the same policies driven past saturation (admission sheds the
-//      excess); items_per_sec is the sustained accepted rate.
-//   4. Read scaling: bounded-stale gets answered from the gateway's replica
+//   2. Peak: a put-only load past saturation; items_per_sec is the sustained
+//      accepted rate, and admission sheds the excess.
+//   3. Read scaling: bounded-stale gets answered from the gateway's replica
 //      table vs the write-path ceiling and the strong-read path — §3.2's
 //      partial-state read replicas are the only row that clears the
 //      dataflow's single-host ceiling.
+//
+// The first element of the JSON array stamps the git revision and host the
+// rows were measured on; it has no "config", so scripts/diff_bench.py skips
+// it.
 //
 // Short mode: SDG_BENCH_SECONDS=0.2 (CI smoke; rows carry measure_s so the
 // trajectory diff never compares smoke windows against full runs).
@@ -42,7 +43,6 @@ namespace sdg::bench {
 namespace {
 
 constexpr uint32_t kPartitions = 4;
-constexpr double kSloMs = 20.0;
 
 // A full serving fleet on loopback: head + gateway + one feed-enabled worker.
 struct ServeFleet {
@@ -51,7 +51,7 @@ struct ServeFleet {
   std::unique_ptr<elastic::ElasticWorker> worker;
   std::unique_ptr<serve::ServeGateway> gateway;
 
-  bool Start(size_t fixed_batch) {
+  bool Start() {
     root = FreshBenchDir("serve");
     elastic::ElasticHeadOptions h;
     h.state = "store";
@@ -90,8 +90,6 @@ struct ServeFleet {
 
     serve::GatewayOptions go;
     go.partitions = kPartitions;
-    go.batcher.slo_p99_ms = kSloMs;
-    go.fixed_batch = fixed_batch;
     gateway = std::make_unique<serve::ServeGateway>(head.get(), go);
     return gateway->Start().ok();
   }
@@ -170,7 +168,6 @@ struct ServeFleet {
 
 struct RowSpec {
   std::string config;
-  size_t fixed_batch = 0;  // 0 = adaptive
   double offered_qps = 0;  // 0 = closed loop
   int connections = 4;
   double get_fraction = 0;
@@ -180,7 +177,7 @@ struct RowSpec {
 
 void RunRow(BenchJson& json, const RowSpec& spec, double measure_s) {
   ServeFleet fleet;
-  if (!fleet.Start(spec.fixed_batch)) {
+  if (!fleet.Start()) {
     std::fprintf(stderr, "serve fleet failed to start for %s\n",
                  spec.config.c_str());
     fleet.Stop();
@@ -212,28 +209,27 @@ void RunRow(BenchJson& json, const RowSpec& spec, double measure_s) {
     return;
   }
 
-  std::string policy = spec.fixed_batch == 0
-                           ? "adaptive"
-                           : "fixed" + std::to_string(spec.fixed_batch);
+  const double batch_mean =
+      stats.batches > 0
+          ? static_cast<double>(stats.puts + stats.dels + stats.strong_gets) /
+                static_cast<double>(stats.batches)
+          : 0;
   std::printf(
       "  %-22s %8.0f qps  p50 %7.3f ms  p99 %8.3f ms  shed %6llu  "
-      "replica %6llu  batch %zu\n",
+      "replica %6llu  batch mean %.1f\n",
       spec.config.c_str(), report->achieved_qps, report->latency_ms.p50,
       report->latency_ms.p99,
       static_cast<unsigned long long>(report->overloaded),
-      static_cast<unsigned long long>(report->replica_answers),
-      stats.batch_size);
+      static_cast<unsigned long long>(report->replica_answers), batch_mean);
 
   json.BeginRow();
   json.Add("config", spec.config);
   json.Add("mode", spec.offered_qps > 0 ? std::string("open")
                                         : std::string("closed"));
-  json.Add("batch_policy", policy);
   json.Add("offered_qps", spec.offered_qps);
   json.Add("connections", static_cast<uint64_t>(spec.connections));
   json.Add("get_fraction", spec.get_fraction);
   json.Add("stale_fraction", spec.stale_fraction);
-  json.Add("slo_ms", kSloMs);
   json.Add("measure_s", measure_s);
   json.Add("hw_threads", HwThreads());
   json.Add("items_per_sec", report->achieved_qps);
@@ -242,7 +238,7 @@ void RunRow(BenchJson& json, const RowSpec& spec, double measure_s) {
   json.Add("overloaded", report->overloaded);
   json.Add("errors", report->errors);
   json.Add("replica_answers", report->replica_answers);
-  json.Add("final_batch", static_cast<uint64_t>(stats.batch_size));
+  json.Add("batch_mean", batch_mean);
 }
 
 }  // namespace
@@ -256,28 +252,24 @@ int main() {
     prefill = 64;
   }
 
-  PrintHeader("serve", "front-door QPS vs latency (SLO-adaptive batching, "
+  PrintHeader("serve", "front-door QPS vs latency (group commit, "
                        "admission control, replica reads)");
   PrintNote("open-loop latency runs from the scheduled send time; "
             "items_per_sec is the accepted (kRespOk) rate");
 
   BenchJson json;
+  json.Stamp();
   std::vector<RowSpec> rows = {
       // 1. Load sweep, 50/50 put/strong-get.
-      {"open_mixed_2k", 0, 2000, 4, 0.5, 0, 0},
-      {"open_mixed_6k", 0, 6000, 4, 0.5, 0, 0},
-      {"open_mixed_12k", 0, 12000, 4, 0.5, 0, 0},
-      {"closed_mixed_8c", 0, 0, 8, 0.5, 0, 0},
-      // 2. Batch policy at a demanding (but feasible) put-only load.
-      {"batch_fixed1_14k", 1, 14000, 4, 0, 0, 0},
-      {"batch_fixed512_14k", 512, 14000, 4, 0, 0, 0},
-      {"batch_adaptive_14k", 0, 14000, 4, 0, 0, 0},
-      // 3. Peak: past saturation, admission sheds the excess.
-      {"peak_fixed512_60k", 512, 60000, 4, 0, 0, 0},
-      {"peak_adaptive_60k", 0, 60000, 4, 0, 0, 0},
-      // 4. Read scaling: replica reads vs the strong path.
-      {"strong_read_closed_8c", 0, 0, 8, 1.0, 0, 512},
-      {"replica_read_60k", 0, 60000, 4, 1.0, 1.0, 512},
+      {"open_mixed_2k", 2000, 4, 0.5, 0, 0},
+      {"open_mixed_6k", 6000, 4, 0.5, 0, 0},
+      {"open_mixed_12k", 12000, 4, 0.5, 0, 0},
+      {"closed_mixed_8c", 0, 8, 0.5, 0, 0},
+      // 2. Peak: put-only, past saturation.
+      {"peak_60k", 60000, 4, 0, 0, 0},
+      // 3. Read scaling: replica reads vs the strong path.
+      {"strong_read_closed_8c", 0, 8, 1.0, 0, 512},
+      {"replica_read_60k", 60000, 4, 1.0, 1.0, 512},
   };
   for (auto& spec : rows) {
     if (spec.prefill > 0) {

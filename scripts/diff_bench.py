@@ -53,7 +53,7 @@ METRIC_PREFIXES = (
     "overloaded",
     "errors",
     "replica_answers",
-    "final_batch",
+    "batch_mean",
 )
 
 

@@ -15,9 +15,9 @@
 # cutover pause under 250 ms, then verify the durable word counts exactly.
 #
 # Phase 3 — serve front door (runs when KV_GATEWAY_BIN and KV_LOADGEN_BIN are
-# given): kv_gateway + a --serve worker + kv_loadgen's deterministic smoke
-# sequence (fill / delete / overload burst / drain / verify). Asserts the
-# burst sheds with kOverloaded (nonzero SHED), bounded-stale reads get
+# given): kv_gateway + a slowed --serve worker + kv_loadgen's deterministic
+# smoke sequence (fill / delete / overload burst / drain / verify). Asserts
+# the burst sheds with kOverloaded (nonzero SHED), bounded-stale reads get
 # replica answers, and the exact KV contents survive the drain.
 #
 # Usage: net_smoke.sh [cluster_wordcount] [lines] [elastic_wordcount]
@@ -263,16 +263,18 @@ fail3() {
 
 SERVE_BACKUP="$WORK/serve_backup"
 
-# Tiny admission watermarks so the loadgen's pipelined burst reliably crosses
-# high water and must be shed with kOverloaded.
-$SETSID "$KV_GATEWAY_BIN" --backup "$SERVE_BACKUP" --high-water 64 --low-water 8 \
+# Small admission marks and a slowed worker (1 ms per item): the head's
+# stream windows to the worker fill, the gateway's flusher blocks on them,
+# and the loadgen's pipelined burst piles up in the gateway queue until it
+# must be shed with kOverloaded — no race with the flusher.
+$SETSID "$KV_GATEWAY_BIN" --backup "$SERVE_BACKUP" --high-water 16 --low-water 4 \
   > "$WORK/gw.log" 2>&1 &
 GW_PID=$!
 wait_for "HEAD port=" "$WORK/gw.log" 10 || fail3 "gateway never started"
 GW_PORT="$(grep -o 'HEAD port=[0-9]*' "$WORK/gw.log" | head -1 | cut -d= -f2)"
 
 $SETSID "$WORKER_BIN" --app kv --serve --head-port "$GW_PORT" --id 1 \
-  --backup "$SERVE_BACKUP" --ckpt-interval-ms 100 \
+  --backup "$SERVE_BACKUP" --ckpt-interval-ms 100 --slow-us 1000 \
   > "$WORK/sw.log" 2>&1 &
 SW_PID=$!
 wait_for "SERVING" "$WORK/gw.log" 20 || fail3 "fleet never assembled"

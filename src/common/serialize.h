@@ -35,12 +35,16 @@ class BinaryWriter {
 
   void WriteString(std::string_view s) {
     Write<uint64_t>(s.size());
-    size_t offset = buffer_.size();
-    buffer_.resize(offset + s.size());
-    std::memcpy(buffer_.data() + offset, s.data(), s.size());
+    WriteBytes(s.data(), s.size());
   }
 
   void WriteBytes(const void* data, size_t size) {
+    // Empty input may come with a null pointer (an empty vector's data(), a
+    // default string_view), and so may an empty buffer's data(): memcpy must
+    // not see either, even with a zero length.
+    if (size == 0) {
+      return;
+    }
     size_t offset = buffer_.size();
     buffer_.resize(offset + size);
     std::memcpy(buffer_.data() + offset, data, size);
@@ -122,7 +126,9 @@ class BinaryReader {
       return Status(StatusCode::kOutOfRange, "vector length past end of buffer");
     }
     std::vector<T> v(count);
-    std::memcpy(v.data(), data_ + pos_, count * sizeof(T));
+    if (count > 0) {  // an empty vector's data() may be null; see WriteBytes
+      std::memcpy(v.data(), data_ + pos_, count * sizeof(T));
+    }
     pos_ += count * sizeof(T);
     return v;
   }

@@ -90,11 +90,12 @@ bool ChannelServer::PeerDispatch::RunSlice() {
     }
     more = !frames_.empty();
   }
-  for (auto& frame : batch) {
-    server_->DispatchPeerFrame(*peer_, std::move(frame));
+  const size_t consumed = batch.size();
+  if (consumed > 0) {
+    server_->DispatchPeerFrames(*peer_, std::move(batch));
   }
-  if (on_consumed_ != nullptr && !batch.empty()) {
-    on_consumed_(batch.size());
+  if (on_consumed_ != nullptr && consumed > 0) {
+    on_consumed_(consumed);
   }
   return more;
 }
@@ -113,86 +114,102 @@ void ChannelServer::PeerDispatch::Drain() {
 // ---------------------------------------------------------------------------
 // ChannelServer
 
-// One decoded frame for any peer kind. Runs on the peer's dispatch entity
+std::shared_ptr<const ChannelServer::ServeHandlers>
+ChannelServer::ServeSnapshot() {
+  std::lock_guard<std::mutex> lock(serve_mutex_);
+  return serve_;
+}
+
+// One dispatch slice for any peer kind. Runs on the peer's dispatch entity
 // (event-loop mode) or reader thread (threaded mode) — never the epoll loop.
-void ChannelServer::DispatchPeerFrame(Peer& peer, Frame frame) {
+void ChannelServer::DispatchPeerFrames(Peer& peer, std::vector<Frame> frames) {
   if (peer.is_mux) {
     // Mux parent frames never reach here: kMuxOpen is handled on a dedicated
     // thread (see SetupMuxPeer) and everything else routes to a stream.
     return;
   }
-  if (peer.is_member) {
-    // A mux reply stream: kResponse (etc.) frames take the member-frame
-    // route — same handler as the control channel, different wire.
-    if (on_member_ != nullptr) {
-      on_member_(peer.member_id, std::move(frame));
-    }
-    return;
-  }
   if (peer.is_client) {
-    if (frame.type != FrameType::kRequest) {
+    // The whole slice goes to the gateway in one call, so the answers it can
+    // give on the spot leave as one write.
+    std::vector<RequestMsg> reqs;
+    reqs.reserve(frames.size());
+    for (const Frame& frame : frames) {
+      if (frame.type != FrameType::kRequest) {
+        continue;
+      }
+      auto req = RequestMsg::Decode(frame.payload);
+      if (!req.ok()) {
+        SDG_LOG(kWarning) << "dropping malformed request: "
+                          << req.status().ToString();
+        continue;
+      }
+      reqs.push_back(std::move(*req));
+    }
+    if (reqs.empty()) {
       return;
     }
-    auto req = RequestMsg::Decode(frame.payload);
-    if (!req.ok()) {
-      SDG_LOG(kWarning) << "dropping malformed request: "
-                        << req.status().ToString();
-      return;
-    }
-    std::shared_ptr<const ServeHandlers> serve;
-    {
-      std::lock_guard<std::mutex> lock(serve_mutex_);
-      serve = serve_;
-    }
+    auto serve = ServeSnapshot();
     if (serve == nullptr || serve->on_request == nullptr) {
       // No gateway installed: cut the connection instead of silently eating
-      // the request, so the client fails fast and redials a live gateway.
+      // the requests, so the client fails fast and redials a live gateway.
       if (peer.conn != nullptr) {
         peer.conn->Abort(UnavailableError("no serve handler installed"));
       }
       return;
     }
-    serve->on_request(peer.client_id, std::move(*req));
+    serve->on_request(peer.client_id, std::move(reqs));
     return;
   }
-  if (peer.is_feed) {
-    if (frame.type != FrameType::kReplicaEpoch) {
-      return;
-    }
-    auto msg = ReplicaEpochMsg::Decode(frame.payload);
-    if (!msg.ok()) {
-      SDG_LOG(kWarning) << "dropping malformed replica epoch: "
-                        << msg.status().ToString();
-      return;
-    }
-    std::shared_ptr<const ServeHandlers> serve;
-    {
-      std::lock_guard<std::mutex> lock(serve_mutex_);
-      serve = serve_;
-    }
-    if (serve == nullptr || serve->on_feed == nullptr) {
-      // Epochs dropped here would desync the publisher's tail from the
-      // gateway's replica views (a base eaten now leaves every later delta
-      // inapplicable). Cut the link: the worker redials with backoff and
-      // replays its tail — base first — once a gateway is listening.
-      if (peer.conn != nullptr) {
-        peer.conn->Abort(UnavailableError("no serve handler installed"));
+  for (Frame& frame : frames) {
+    if (peer.is_member) {
+      // A mux reply stream: kResponse (etc.) frames take the member-frame
+      // route — same handler as the control channel, different wire.
+      if (on_member_ != nullptr) {
+        on_member_(peer.member_id, std::move(frame));
       }
-      return;
+      continue;
     }
-    serve->on_feed(peer.subscribe, std::move(*msg));
-    return;
+    if (peer.is_feed) {
+      if (frame.type != FrameType::kReplicaEpoch) {
+        continue;
+      }
+      auto msg = ReplicaEpochMsg::Decode(frame.payload);
+      if (!msg.ok()) {
+        SDG_LOG(kWarning) << "dropping malformed replica epoch: "
+                          << msg.status().ToString();
+        continue;
+      }
+      auto serve = ServeSnapshot();
+      if (serve == nullptr || serve->on_feed == nullptr) {
+        // Epochs dropped here would desync the publisher's tail from the
+        // gateway's replica views (a base eaten now leaves every later delta
+        // inapplicable). Cut the link: the worker redials with backoff and
+        // replays its tail — base first — once a gateway is listening.
+        if (peer.conn != nullptr) {
+          peer.conn->Abort(UnavailableError("no serve handler installed"));
+        }
+        return;
+      }
+      serve->on_feed(peer.subscribe, std::move(*msg));
+      continue;
+    }
+    if (frame.type != FrameType::kData) {
+      continue;
+    }
+    auto decoded = DataBatch::Decode(frame.payload);
+    if (!decoded.ok()) {
+      SDG_LOG(kWarning) << "dropping malformed data batch: "
+                        << decoded.status().ToString();
+      continue;
+    }
+    on_batch_(peer.handshake, std::move(decoded->items));
   }
-  if (frame.type != FrameType::kData) {
-    return;
-  }
-  auto decoded = DataBatch::Decode(frame.payload);
-  if (!decoded.ok()) {
-    SDG_LOG(kWarning) << "dropping malformed data batch: "
-                      << decoded.status().ToString();
-    return;
-  }
-  on_batch_(peer.handshake, std::move(decoded->items));
+}
+
+void ChannelServer::DispatchPeerFrame(Peer& peer, Frame frame) {
+  std::vector<Frame> one;
+  one.push_back(std::move(frame));
+  DispatchPeerFrames(peer, std::move(one));
 }
 
 ChannelServer::ChannelServer(ChannelServerOptions options)
@@ -904,17 +921,17 @@ void ChannelServer::SetServeHandlers(RequestFn on_request, FeedFn on_feed) {
   serve_ = std::move(handlers);
 }
 
-bool ChannelServer::SendToClient(uint64_t client_id,
-                                 const std::vector<uint8_t>& payload) {
-  BinaryWriter frame;
-  EncodeFrame(frame, FrameType::kResponse, payload.data(), payload.size());
-  const std::vector<uint8_t>& bytes = frame.buffer();
+bool ChannelServer::SendToClient(uint64_t client_id, ResponseBatch batch) {
+  if (batch.empty()) {
+    return true;
+  }
+  const size_t count = batch.count();
   std::lock_guard<std::mutex> lock(peers_mutex_);
   for (auto& peer : peers_) {
     if (peer->is_client && peer->client_id == client_id) {
       // Non-blocking: a client that stops reading sheds its own responses
       // rather than wedging the flusher for everyone else.
-      return peer->conn->TrySend(bytes);
+      return peer->conn->TrySendFrames(std::move(batch).TakeBytes(), count);
     }
   }
   return false;

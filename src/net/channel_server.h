@@ -97,11 +97,14 @@ class ChannelServer : private EventLoop::Handler {
   // Serve path. A connection whose first frame is a kRequest becomes a client
   // peer: every request (including the first) is decoded off the IO thread on
   // the peer's dispatch entity and handed to on_request, tagged with a
-  // server-assigned client id for the response route back. A connection whose
-  // first frame is kReplicaSubscribe becomes a replica-feed peer: subsequent
-  // kReplicaEpoch frames are decoded the same way and handed to on_feed.
-  // Client/feed peers share the wire-backpressure dispatch with data peers.
-  using RequestFn = std::function<void(uint64_t client_id, RequestMsg req)>;
+  // server-assigned client id for the response route back — all requests of
+  // one dispatch slice (up to 8, in wire order) in one call. A connection
+  // whose first frame is kReplicaSubscribe becomes a replica-feed peer:
+  // subsequent kReplicaEpoch frames are decoded the same way and handed to
+  // on_feed. Client/feed peers share the wire-backpressure dispatch with data
+  // peers.
+  using RequestFn =
+      std::function<void(uint64_t client_id, std::vector<RequestMsg> reqs)>;
   using FeedFn = std::function<void(const ReplicaSubscribeMsg& sub,
                                     ReplicaEpochMsg msg)>;
 
@@ -150,10 +153,11 @@ class ChannelServer : private EventLoop::Handler {
   // inapplicable, so the peer must redial (and replay) a live gateway.
   void SetServeHandlers(RequestFn on_request, FeedFn on_feed);
 
-  // Sends one kResponse frame back to a connected client. Non-blocking:
-  // false when the client is gone or its send queue is full (a slow reader
-  // sheds its own responses; the client-side timeout retries).
-  bool SendToClient(uint64_t client_id, const std::vector<uint8_t>& payload);
+  // Sends a batch of kResponse frames back to a connected client as one
+  // write. Non-blocking: false when the client is gone or its send queue
+  // (bounded in responses, not writes) has no room for the whole batch — a
+  // slow reader sheds its own responses; the client-side timeout retries.
+  bool SendToClient(uint64_t client_id, ResponseBatch batch);
 
   // Stops accepting, closes every connection, waits out in-flight handshakes
   // and dispatch slices.
@@ -279,8 +283,10 @@ class ChannelServer : private EventLoop::Handler {
   // first frame is re-dispatched through the peer's normal frame path so it
   // keeps wire order with whatever the carry decoder already buffered.
   void SetupServePeer(Socket socket, FrameDecoder carry, Frame first);
-  // Decodes and routes one frame for any peer kind (dispatch entity in
-  // event-loop mode, reader thread in threaded mode).
+  // Decodes and routes one dispatch slice of frames for any peer kind
+  // (dispatch entity in event-loop mode; the single-frame form is the
+  // threaded-mode reader's).
+  void DispatchPeerFrames(Peer& peer, std::vector<Frame> frames);
   void DispatchPeerFrame(Peer& peer, Frame frame);
 
   const ChannelServerOptions options_;
@@ -308,6 +314,7 @@ class ChannelServer : private EventLoop::Handler {
     RequestFn on_request;
     FeedFn on_feed;
   };
+  std::shared_ptr<const ServeHandlers> ServeSnapshot();
   std::mutex serve_mutex_;
   std::shared_ptr<const ServeHandlers> serve_;
   std::atomic<uint64_t> next_client_id_{1};

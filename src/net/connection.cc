@@ -52,12 +52,12 @@ bool Connection::EnqueueLocked(std::unique_lock<std::mutex>& lock,
                                SendEntry entry, bool may_block) {
   if (may_block) {
     send_cv_.wait(lock, [&] {
-      return send_q_.size() < options_.send_queue_frames ||
+      return queued_frames_ < options_.send_queue_frames ||
              broken_.load(std::memory_order_acquire) ||
              closed_.load(std::memory_order_acquire);
     });
   }
-  if (send_q_.size() >= options_.send_queue_frames ||
+  if (queued_frames_ + entry.frames > options_.send_queue_frames ||
       broken_.load(std::memory_order_acquire) ||
       closed_.load(std::memory_order_acquire)) {
     return false;
@@ -65,6 +65,7 @@ bool Connection::EnqueueLocked(std::unique_lock<std::mutex>& lock,
   if (entry.size() == 0) {
     return true;  // nothing to put on the wire
   }
+  queued_frames_ += entry.frames;
   send_q_.push_back(std::move(entry));
   // Inline flush from the caller's thread: on an idle socket the frame goes
   // straight to the kernel with no epoll round-trip (the small-batch latency
@@ -126,6 +127,21 @@ bool Connection::TrySend(const std::vector<uint8_t>& frame_bytes) {
     return false;
   }
   return true;
+}
+
+bool Connection::TrySendFrames(std::vector<uint8_t> bytes, size_t frames) {
+  if (options_.loop == nullptr) {
+    return TrySend(bytes);
+  }
+  if (broken_.load(std::memory_order_acquire) ||
+      closed_.load(std::memory_order_acquire)) {
+    return false;
+  }
+  SendEntry entry;
+  entry.frames = frames;
+  entry.payload = std::move(bytes);
+  std::unique_lock<std::mutex> lock(send_mu_);
+  return EnqueueLocked(lock, std::move(entry), /*may_block=*/false);
 }
 
 bool Connection::SendFrame(FrameType type, uint32_t stream,
@@ -192,14 +208,7 @@ void Connection::SetReadInterest(bool want_read) {
 
 void Connection::Fail(const Status& status) {
   broken_.store(true, std::memory_order_release);
-  if (options_.loop != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(send_mu_);
-      send_q_.clear();
-      send_offset_ = 0;
-    }
-    send_cv_.notify_all();
-  } else {
+  if (options_.loop == nullptr) {
     // Drop queued frames and unblock Send callers; unacked items live on in
     // the sender's OutputBuffer, so nothing is lost by discarding the queue.
     size_t dropped = send_queue_.Abort();
@@ -208,8 +217,18 @@ void Connection::Fail(const Status& status) {
       pending_frames_ -= dropped;
     }
   }
+  {
+    // Under send_mu_, which Close also holds to release the descriptor: once
+    // Close has run, this is a no-op on fd -1, never a shutdown() of a
+    // descriptor number the process has since reused.
+    std::lock_guard<std::mutex> lock(send_mu_);
+    send_q_.clear();
+    queued_frames_ = 0;
+    send_offset_ = 0;
+    socket_.ShutdownBoth();
+  }
+  send_cv_.notify_all();
   flush_cv_.notify_all();  // Close's drain wait also watches broken_
-  socket_.ShutdownBoth();
   if (!error_fired_.exchange(true) && on_error_) {
     on_error_(status);
   }
@@ -294,6 +313,7 @@ bool Connection::FlushLocked(std::unique_lock<std::mutex>& lock) {
     send_offset_ += *n;
     while (!send_q_.empty() && send_offset_ >= send_q_.front().size()) {
       send_offset_ -= send_q_.front().size();
+      queued_frames_ -= send_q_.front().frames;
       send_q_.pop_front();
     }
   }
@@ -371,6 +391,7 @@ void Connection::Close() {
     send_cv_.notify_all();  // release Send callers blocked on capacity
     options_.loop->Deregister(fd_);  // waits out any in-flight callback
     broken_.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(send_mu_);  // see Fail
     socket_.ShutdownBoth();
     socket_.Close();
     return;
@@ -387,13 +408,17 @@ void Connection::Close() {
   }
   broken_.store(true, std::memory_order_release);
   send_queue_.Abort();
-  socket_.ShutdownBoth();
+  {
+    std::lock_guard<std::mutex> lock(send_mu_);  // see Fail
+    socket_.ShutdownBoth();
+  }
   if (writer_.joinable()) {
     writer_.join();
   }
   if (reader_.joinable()) {
     reader_.join();
   }
+  std::lock_guard<std::mutex> lock(send_mu_);
   socket_.Close();
 }
 

@@ -94,6 +94,12 @@ class Connection : private EventLoop::Handler {
   // buffer is full, broken, or closed. Never waits.
   bool TrySend(const std::vector<uint8_t>& frame_bytes);
 
+  // Non-blocking send of `frames` whole encoded frames laid back to back in
+  // `bytes`, staged by move as one write. They count as `frames` against
+  // send_queue_frames (event-loop mode; threaded mode queues them as one),
+  // and are accepted or refused together.
+  bool TrySendFrames(std::vector<uint8_t> bytes, size_t frames);
+
   // Zero-copy framed send: encodes the (9- or 13-byte, per Options::
   // mux_frames) header inline in the queue entry and stages the payload by
   // move — the flush path gathers header+payload straight into writev, so
@@ -166,7 +172,8 @@ class Connection : private EventLoop::Handler {
   // batch, so payload bytes are written straight from here — no recopy.
   struct SendEntry {
     uint8_t header[16] = {};
-    uint8_t header_len = 0;  // 0: payload already holds a whole encoded frame
+    uint8_t header_len = 0;  // 0: payload already holds whole encoded frames
+    size_t frames = 1;       // frames in payload, counted by the queue bound
     std::vector<uint8_t> payload;
     size_t size() const { return header_len + payload.size(); }
   };
@@ -177,9 +184,13 @@ class Connection : private EventLoop::Handler {
   // `lock`, runs Fail(), and returns false.
   bool FlushLocked(std::unique_lock<std::mutex>& lock);
 
+  // Also orders socket shutdown against close in both modes: Fail (any
+  // thread) must never shutdown() a descriptor Close already released and
+  // the process may have reused.
   std::mutex send_mu_;
   std::condition_variable send_cv_;
   std::deque<SendEntry> send_q_;
+  size_t queued_frames_ = 0;   // sum of send_q_ entries' frames
   size_t send_offset_ = 0;     // bytes of send_q_.front() already written
   bool write_armed_ = false;   // EPOLLOUT currently requested
   bool want_read_ = true;      // EPOLLIN currently requested

@@ -383,13 +383,28 @@ Result<RequestMsg> RequestMsg::Decode(const std::vector<uint8_t>& payload) {
 // --- ResponseMsg --------------------------------------------------------------
 
 std::vector<uint8_t> ResponseMsg::Encode() const {
-  BinaryWriter w;
+  BinaryWriter w(EncodedSize());
+  EncodeTo(w);
+  return std::move(w).TakeBuffer();
+}
+
+void ResponseMsg::EncodeTo(BinaryWriter& w) const {
   w.Write<uint64_t>(request_id);
   w.Write<uint8_t>(code);
   w.Write<uint8_t>(flags);
   w.WriteString(value);
   w.Write<uint64_t>(epoch);
-  return std::move(w).TakeBuffer();
+}
+
+void ResponseBatch::Add(const ResponseMsg& msg) {
+  // Header and payload go straight into the batch buffer: no per-response
+  // payload vector, no frame copy.
+  uint8_t header[kFrameHeaderBytes];
+  EncodeFrameHeader(header, FrameType::kResponse, 0, msg.EncodedSize(),
+                    /*mux=*/false);
+  bytes_.WriteBytes(header, sizeof(header));
+  msg.EncodeTo(bytes_);
+  ++count_;
 }
 
 Result<ResponseMsg> ResponseMsg::Decode(const std::vector<uint8_t>& payload) {

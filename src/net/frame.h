@@ -330,6 +330,23 @@ struct ResponseMsg {
 
   std::vector<uint8_t> Encode() const;
   static Result<ResponseMsg> Decode(const std::vector<uint8_t>& payload);
+  void EncodeTo(BinaryWriter& w) const;
+  size_t EncodedSize() const { return 8 + 1 + 1 + 8 + value.size() + 8; }
+};
+
+// Responses for one client, encoded as whole kResponse frames back to back in
+// one buffer, so a batch of answers leaves as one write
+// (ChannelServer::SendToClient). The wire sees ordinary consecutive frames.
+class ResponseBatch {
+ public:
+  void Add(const ResponseMsg& msg);
+  size_t count() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  std::vector<uint8_t> TakeBytes() && { return std::move(bytes_).TakeBuffer(); }
+
+ private:
+  BinaryWriter bytes_;
+  size_t count_ = 0;
 };
 
 // --- Replica feed messages ----------------------------------------------------

@@ -1,12 +1,14 @@
 // Admission control for the serve front door.
 //
-// The gateway sheds load instead of queueing it: once the load signal (its
-// own pending-request queue plus the owning workers' mailbox depth, reported
-// piggybacked on replica-feed announces) crosses the high-water mark, new
-// requests are rejected with kOverloaded until the signal drains below the
-// low-water mark. The gap between the marks is hysteresis — without it the
-// controller flaps admit/shed around a single threshold and clients see an
-// alternating stream of accepts and rejects instead of a clean brown-out.
+// The gateway sheds load instead of queueing it: once the load signal
+// crosses the high-water mark, new requests are rejected with kOverloaded
+// until the signal drains below the low-water mark. The signal counts
+// queueing only — the gateway's pending-request queue, its strong gets
+// waiting on an owner, and the owning workers' mailbox depth (reported
+// piggybacked on replica-feed announces). The gap between the marks is
+// hysteresis — without it the controller flaps admit/shed around a single
+// threshold and clients see an alternating stream of accepts and rejects
+// instead of a clean brown-out.
 #ifndef SDG_SERVE_ADMISSION_H_
 #define SDG_SERVE_ADMISSION_H_
 
@@ -45,6 +47,13 @@ class AdmissionController {
     }
     accepted_.fetch_add(1, std::memory_order_relaxed);
     return true;
+  }
+
+  // An admitted request refused later after all (the head's log was full):
+  // recounts it as shed.
+  void Refuse() {
+    accepted_.fetch_sub(1, std::memory_order_relaxed);
+    shed_.fetch_add(1, std::memory_order_relaxed);
   }
 
   bool shedding() const { return shedding_.load(std::memory_order_relaxed); }

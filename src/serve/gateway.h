@@ -4,16 +4,21 @@
 // membership port: clients connect with kRequest frames (the ChannelServer
 // classifies them by first frame), workers' replica feeds arrive as
 // kReplicaSubscribe/kReplicaEpoch, and strong-read replies ride the workers'
-// control channels back as kResponse frames. The hot path is self-tuning:
+// reply streams back as kResponse frames. The hot path is load-proportional:
 //
-//   * AdaptiveBatcher walks the inject batch size to hold the configured
-//     p99 SLO (AIMD over completed-request latencies);
-//   * AdmissionController sheds with kOverloaded once the pending queue +
-//     the owners' mailbox depth + the head's unacked backlog crosses the
-//     high-water mark (hysteresis down to the low-water mark);
+//   * group commit: each flush injects everything queued (up to
+//     kMaxFlushBatch) and never waits for more, so a slow downstream grows
+//     the next batch instead of shrinking it;
+//   * AdmissionController sheds with kOverloaded once queueing — the pending
+//     queue + outstanding strong gets + the owners' mailbox depth — crosses
+//     the high-water mark (hysteresis down to the low-water mark);
+//   * the head's upstream-backup log is bounded separately, at kMaxHeadLog
+//     items: requests a flush cannot log are refused with kOverloaded;
 //   * gets flagged kReadStale are answered from the ReplicaTable without
 //     touching the dataflow when the replica is within the client's epoch
-//     lag bound, and fall back to the strong path otherwise.
+//     lag bound, and fall back to the strong path otherwise;
+//   * the answers of one dispatch slice, or of one flushed batch, leave as
+//     one framed write per client.
 //
 // Writes are acked once the head has accepted (logged) the delivery — the
 // upstream-backup contract makes them replayable from that point. Strong
@@ -26,7 +31,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -36,7 +40,6 @@
 #include "src/net/frame.h"
 #include "src/runtime/elastic.h"
 #include "src/serve/admission.h"
-#include "src/serve/batcher.h"
 #include "src/serve/replica_table.h"
 
 namespace sdg::serve {
@@ -47,15 +50,20 @@ inline constexpr uint32_t kEntryPut = 0;
 inline constexpr uint32_t kEntryGet = 1;
 inline constexpr uint32_t kEntryDel = 2;
 
+// Most requests one flush injects.
+inline constexpr size_t kMaxFlushBatch = 512;
+
+// Most items the head's upstream-backup log (§5) may hold. The log keeps
+// every injected item until the owner's next checkpoint acks it, so its
+// healthy size is rate × checkpoint period (~8k items at 70k req/s with
+// 100 ms checkpoints, more right after a restart replays a backlog). This
+// cap is not a load signal; it only stops an owner that never acks from
+// growing the head without limit.
+inline constexpr size_t kMaxHeadLog = 65536;
+
 struct GatewayOptions {
   uint32_t partitions = 4;
   AdmissionOptions admission;
-  BatcherOptions batcher;
-  // > 0 pins the batch size (bench baseline); 0 = adaptive.
-  size_t fixed_batch = 0;
-  // How long a flush waits for the queue to fill a batch before sending a
-  // short one.
-  int linger_us = 200;
   // Strong gets outstanding longer than this complete as kRespError
   // ("timeout") — e.g. the owning worker died mid-request.
   int request_timeout_ms = 5000;
@@ -88,56 +96,42 @@ class ServeGateway {
     uint64_t timeouts = 0;
     uint64_t errors = 0;
     uint64_t batches = 0;
-    size_t batch_size = 0;         // current controller output
-    double last_window_p99_ms = 0;
     bool shedding = false;
     uint64_t replica_epochs_applied = 0;
   };
   Stats stats() const;
 
   const ReplicaTable& replicas() const { return replicas_; }
-  AdaptiveBatcher& batcher() { return batcher_; }
   AdmissionController& admission() { return admission_; }
 
  private:
   struct Pending {
     uint64_t client_id = 0;
     net::RequestMsg req;
-    std::chrono::steady_clock::time_point enqueued;
   };
   struct PendingGet {
     uint64_t client_id = 0;
     uint64_t client_request_id = 0;
-    std::chrono::steady_clock::time_point enqueued;
+    std::chrono::steady_clock::time_point injected;
   };
+  class Replies;
 
-  void OnRequest(uint64_t client_id, net::RequestMsg req);
+  void OnRequests(uint64_t client_id, std::vector<net::RequestMsg> reqs);
   void OnResponse(uint32_t member_id, net::ResponseMsg msg);
   void FlushLoop();
-  void FlushBatch(std::vector<Pending> batch);
+  void FlushBatch(std::vector<Pending>& batch);
   void SweepTimeouts();
-  void Respond(uint64_t client_id, uint64_t request_id, uint8_t code,
-               uint8_t flags, std::string value, uint64_t epoch);
-  double MsSince(std::chrono::steady_clock::time_point t) const {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t)
-        .count();
-  }
 
   elastic::ElasticHead* head_;
   const GatewayOptions options_;
   AdmissionController admission_;
-  AdaptiveBatcher batcher_;
   ReplicaTable replicas_;
 
   std::atomic<bool> running_{false};
   std::thread flusher_;
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
-  std::deque<Pending> queue_;
-  // Load signal beyond the local queue (owner mailbox depth + head unacked
-  // backlog + outstanding strong gets), refreshed by the flusher.
-  std::atomic<uint64_t> extra_signal_{0};
+  std::vector<Pending> queue_;
 
   std::mutex gets_mutex_;
   std::unordered_map<uint64_t, PendingGet> pending_gets_;

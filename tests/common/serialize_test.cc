@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <string_view>
+#include <vector>
 
 namespace sdg {
 namespace {
@@ -99,6 +101,27 @@ TEST(SerializeTest, EmptyBufferBehaviour) {
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_FALSE(r.Read<uint8_t>().ok());
+}
+
+// Empty writes carry null pointers on both sides of the copy (a fresh
+// writer's buffer, an empty vector's data(), a default string_view). They
+// must be no-ops, not memcpy(nullptr, ..., 0), which the UB sanitizer aborts.
+TEST(SerializeTest, EmptyWritesIntoEmptyWriterAreNoOps) {
+  BinaryWriter w;
+  w.WriteBytes(nullptr, 0);
+  EXPECT_EQ(w.size(), 0u);
+  w.WriteString(std::string_view());
+  w.WriteVector(std::vector<int32_t>());
+  EXPECT_EQ(w.size(), 2 * sizeof(uint64_t));
+
+  BinaryReader r(w.buffer());
+  auto s = r.ReadString();
+  ASSERT_TRUE(s.ok());
+  EXPECT_TRUE(s->empty());
+  auto v = r.ReadVector<int32_t>();
+  ASSERT_TRUE(v.ok());
+  EXPECT_TRUE(v->empty());
+  EXPECT_TRUE(r.AtEnd());
 }
 
 }  // namespace

@@ -241,5 +241,64 @@ TEST(ConnectionCloseDrainTest, ThreadedMode) {
   CloseDrainTest(/*use_event_loop=*/false);
 }
 
+// Abort from another thread racing Close: Close releases the descriptor, and
+// a late Abort must find it released, not shutdown() a number the process
+// may already have handed to another socket. The TSan job checks that the
+// two are ordered.
+TEST(ConnectionCloseDrainTest, AbortRacingCloseIsOrdered) {
+  auto listener = Listener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  for (int i = 0; i < 20; ++i) {
+    auto sock = Socket::Connect("127.0.0.1", listener->port());
+    ASSERT_TRUE(sock.ok());
+    auto peer = listener->Accept();
+    ASSERT_TRUE(peer.ok());
+    Connection::Options copts;
+    copts.loop = EventLoop::Shared();
+    Connection conn(std::move(*sock), copts, [](Frame) {},
+                    [](const Status&) {});
+    std::thread aborter([&] { conn.Abort(UnavailableError("peer gone")); });
+    conn.Close();
+    aborter.join();
+    EXPECT_TRUE(conn.broken());
+  }
+}
+
+// A coalesced write of n frames takes n slots of the send-queue bound, so the
+// bound keeps counting frames (responses), not writes.
+TEST(ConnectionSendQueueTest, CoalescedWriteCountsEveryFrame) {
+  auto listener = Listener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  auto client = Socket::Connect("127.0.0.1", listener->port());
+  ASSERT_TRUE(client.ok());
+  auto peer = listener->Accept();  // never read: the kernel buffers fill up
+  ASSERT_TRUE(peer.ok());
+  Connection::Options copts;
+  copts.send_queue_frames = 8;
+  copts.loop = EventLoop::Shared();
+  Connection conn(std::move(*client), copts, [](Frame) {},
+                  [](const Status&) {});
+
+  // One write far larger than both kernel buffers: its unwritten tail stays
+  // queued for as long as the peer does not read, holding one slot. (The
+  // peer never decodes, so the bytes need not form a frame.)
+  ASSERT_TRUE(conn.TrySendFrames(std::vector<uint8_t>(32 << 20), 1));
+  auto three = [] {
+    std::vector<uint8_t> bytes;
+    for (uint32_t i = 0; i < 3; ++i) {
+      auto frame = MakeFrameBytes(i, 16);
+      bytes.insert(bytes.end(), frame.begin(), frame.end());
+    }
+    return bytes;
+  };
+  EXPECT_TRUE(conn.TrySendFrames(three(), 3));   // 4 of 8
+  EXPECT_TRUE(conn.TrySendFrames(three(), 3));   // 7 of 8
+  EXPECT_FALSE(conn.TrySendFrames(three(), 3));  // 10 > 8: refused whole
+  EXPECT_TRUE(conn.TrySendFrames(MakeFrameBytes(9, 16), 1));  // 8 of 8
+  EXPECT_FALSE(conn.TrySend(MakeFrameBytes(10, 16)));
+  EXPECT_FALSE(conn.broken());
+  conn.Abort(UnavailableError("test done"));  // skip Close's drain wait
+}
+
 }  // namespace
 }  // namespace sdg::net

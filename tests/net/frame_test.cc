@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/common/rng.h"
 
 namespace sdg::net {
@@ -283,6 +287,45 @@ TEST(FrameMessageTest, ResponseRoundTrip) {
   EXPECT_EQ(decoded->flags, kRespFromReplica);
   EXPECT_EQ(decoded->value, resp.value);
   EXPECT_EQ(decoded->epoch, 1234567u);
+}
+
+// A coalesced batch is nothing but ordinary kResponse frames back to back:
+// the client's decoder reads them one by one, whatever the split points.
+TEST(FrameMessageTest, ResponseBatchIsConsecutiveFrames) {
+  ResponseBatch batch;
+  EXPECT_TRUE(batch.empty());
+  for (uint64_t id = 1; id <= 5; ++id) {
+    ResponseMsg resp;
+    resp.request_id = id;
+    resp.code = id % 2 == 0 ? kRespOverloaded : kRespOk;
+    resp.value = std::string(id * 7, 'v');
+    resp.epoch = id * 10;
+    batch.Add(resp);
+  }
+  EXPECT_EQ(batch.count(), 5u);
+  std::vector<uint8_t> bytes = std::move(batch).TakeBytes();
+
+  FrameDecoder decoder;
+  for (size_t off = 0; off < bytes.size(); off += 13) {
+    decoder.Feed(bytes.data() + off, std::min<size_t>(13, bytes.size() - off));
+  }
+  for (uint64_t id = 1; id <= 5; ++id) {
+    Frame frame;
+    auto ready = decoder.Next(&frame);
+    ASSERT_TRUE(ready.ok());
+    ASSERT_TRUE(*ready) << "frame " << id << " missing";
+    EXPECT_EQ(frame.type, FrameType::kResponse);
+    auto resp = ResponseMsg::Decode(frame.payload);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->request_id, id);
+    EXPECT_EQ(resp->code, id % 2 == 0 ? kRespOverloaded : kRespOk);
+    EXPECT_EQ(resp->value, std::string(id * 7, 'v'));
+    EXPECT_EQ(resp->epoch, id * 10);
+  }
+  Frame extra;
+  auto more = decoder.Next(&extra);
+  ASSERT_TRUE(more.ok());
+  EXPECT_FALSE(*more);
 }
 
 TEST(FrameMessageTest, ReplicaSubscribeRoundTrip) {

@@ -49,8 +49,11 @@ class GatewayFixture : public ::testing::Test {
     return h;
   }
 
+  // `ckpt_interval_ms` 0: the worker never checkpoints, so it never acks the
+  // head's log. `slow_us`: per-item ingest delay (a slow owner).
   std::unique_ptr<elastic::ElasticWorker> MakeServeWorker(
-      uint32_t member_id, uint16_t head_port, int ckpt_interval_ms) {
+      uint32_t member_id, uint16_t head_port, int ckpt_interval_ms,
+      int slow_us = 0) {
     apps::KvOptions kv;
     kv.partitions = kPartitions;
     auto g = apps::BuildKvSdg(kv);
@@ -64,6 +67,7 @@ class GatewayFixture : public ::testing::Test {
     w.entries = {"put", "get", "del"};
     w.backup_root = (root_ / "backup").string();
     w.checkpoint_interval_ms = ckpt_interval_ms;
+    w.slow_us = slow_us;
     w.serve_feed = true;
     w.forward_sinks = {"get"};
     return std::make_unique<elastic::ElasticWorker>(std::move(*g),
@@ -195,24 +199,34 @@ TEST_F(GatewayFixture, BoundedStaleReadsComeFromReplica) {
 TEST_F(GatewayFixture, OverloadShedsWithOverloadedAndRecovers) {
   elastic::ElasticHead head(HeadOptions());
   ASSERT_TRUE(head.Start().ok());
-  auto w1 = MakeServeWorker(1, head.port(), /*ckpt_interval_ms=*/100);
+  // A slow owner (1 ms per item): the head's stream window to it fills, the
+  // flusher blocks on it, and requests pile up in the gateway's queue. The
+  // shed comes from that queue — deterministically, not from a race between
+  // the burst and the flusher.
+  auto w1 = MakeServeWorker(1, head.port(), /*ckpt_interval_ms=*/100,
+                            /*slow_us=*/1000);
   ASSERT_TRUE(w1->Start().ok());
   ASSERT_TRUE(w1->WaitJoined(10000));
   ASSERT_TRUE(head.WaitForAssignment(10000));
 
   GatewayOptions go;
   go.partitions = kPartitions;
-  go.admission.high_water = 64;
-  go.admission.low_water = 8;
+  go.admission.high_water = 16;
+  go.admission.low_water = 4;
   ServeGateway gw(&head, go);
   ASSERT_TRUE(gw.Start().ok());
 
-  KvClient client({"127.0.0.1", head.port()});
+  KvClientOptions co;
+  co.port = head.port();
+  co.recv_timeout_ms = 60000;  // accepted puts wait for the slow owner
+  KvClient client(co);
   ASSERT_TRUE(client.Connect().ok());
 
-  // Pipeline a burst far past the high-water mark. Every request must get a
-  // response — ok or overloaded, never silence.
-  constexpr int kBurst = 1500;
+  // Pipeline a burst far past what the owner's stream windows (64 frames per
+  // partition; a frame carries at most one flush, and a flush at most the
+  // high-water mark's worth of queued requests) and the queue can absorb.
+  // Every request must get a response — ok or overloaded, never silence.
+  constexpr int kBurst = 10000;
   for (int i = 0; i < kBurst; ++i) {
     net::RequestMsg req;
     req.request_id = client.NextRequestId();
@@ -235,12 +249,14 @@ TEST_F(GatewayFixture, OverloadShedsWithOverloadedAndRecovers) {
   EXPECT_GT(overloaded, 0) << "burst never shed";
   EXPECT_GT(ok, 0) << "everything shed";
   EXPECT_EQ(ok + overloaded, kBurst);
-  EXPECT_GT(gw.stats().shed, 0u);
+  EXPECT_EQ(gw.stats().shed, static_cast<uint64_t>(overloaded));
   EXPECT_EQ(gw.admission().shed(), gw.stats().shed);
 
-  // Hysteresis: once the backlog drains below low water, service resumes.
+  // Hysteresis: once the owner drains the backlog and the queue falls to
+  // low water, service resumes.
   bool recovered = false;
-  for (int attempt = 0; attempt < 200 && !recovered; ++attempt) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!recovered && std::chrono::steady_clock::now() < deadline) {
     auto resp = client.Put(1, "after");
     ASSERT_TRUE(resp.ok());
     if (resp->code == net::kRespOk) {
@@ -250,6 +266,90 @@ TEST_F(GatewayFixture, OverloadShedsWithOverloadedAndRecovers) {
     }
   }
   EXPECT_TRUE(recovered) << "gateway stuck shedding after drain";
+
+  client.Close();
+  gw.Stop();
+  w1->Stop();
+  head.Stop();
+}
+
+TEST_F(GatewayFixture, OwnerThatNeverAcksCapsTheHeadLog) {
+  elastic::ElasticHead head(HeadOptions());
+  ASSERT_TRUE(head.Start().ok());
+  // Never checkpoints: nothing the head logs for this owner is ever acked.
+  auto w1 = MakeServeWorker(1, head.port(), /*ckpt_interval_ms=*/0);
+  ASSERT_TRUE(w1->Start().ok());
+  ASSERT_TRUE(w1->WaitJoined(10000));
+  ASSERT_TRUE(head.WaitForAssignment(10000));
+
+  GatewayOptions go;
+  go.partitions = kPartitions;
+  ServeGateway gw(&head, go);
+  ASSERT_TRUE(gw.Start().ok());
+
+  KvClientOptions co;
+  co.port = head.port();
+  co.recv_timeout_ms = 60000;
+  KvClient client(co);
+  ASSERT_TRUE(client.Connect().ok());
+
+  // Waves smaller than the admission high-water mark, so every refusal here
+  // is the log bound's. Keep writing until a whole wave is refused.
+  constexpr int kWave = 2048;
+  constexpr int kMaxWaves = static_cast<int>(kMaxHeadLog / kWave) + 8;
+  uint64_t ok = 0, overloaded = 0;
+  int64_t key = 0;
+  bool full = false;
+  for (int wave = 0; wave < kMaxWaves && !full; ++wave) {
+    for (int i = 0; i < kWave; ++i) {
+      net::RequestMsg req;
+      req.request_id = client.NextRequestId();
+      req.op = net::kOpPut;
+      req.key = key++;
+      req.value = "never acked";
+      ASSERT_TRUE(client.Send(req).ok());
+    }
+    int wave_overloaded = 0;
+    for (int i = 0; i < kWave; ++i) {
+      auto resp = client.Recv();
+      ASSERT_TRUE(resp.ok()) << "wave " << wave << " response " << i
+                             << " lost: " << resp.status().ToString();
+      ASSERT_TRUE(resp->code == net::kRespOk ||
+                  resp->code == net::kRespOverloaded)
+          << "code " << static_cast<int>(resp->code) << ": " << resp->value;
+      if (resp->code == net::kRespOk) {
+        ++ok;
+      } else {
+        ++overloaded;
+        ++wave_overloaded;
+      }
+    }
+    ASSERT_LE(head.UnackedTotal(), kMaxHeadLog) << "after wave " << wave;
+    full = wave_overloaded == kWave;
+  }
+  EXPECT_TRUE(full) << "log bound never reached: " << ok << " ok";
+  // Every acked put is still in the log, and the log never passed the cap.
+  EXPECT_EQ(ok, head.UnackedTotal());
+  EXPECT_LE(ok, kMaxHeadLog);
+  EXPECT_GT(overloaded, 0u);
+  EXPECT_EQ(gw.stats().puts, ok);
+  EXPECT_EQ(gw.stats().shed, overloaded);
+  EXPECT_EQ(gw.stats().errors, 0u);
+
+  // Once the owner checkpoints, its acks drain the log and writes resume.
+  ASSERT_TRUE(w1->Checkpoint().ok());
+  bool resumed = false;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!resumed && std::chrono::steady_clock::now() < deadline) {
+    auto resp = client.Put(-1, "after");
+    ASSERT_TRUE(resp.ok());
+    ASSERT_NE(resp->code, net::kRespError) << resp->value;
+    resumed = resp->code == net::kRespOk;
+    if (!resumed) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+  EXPECT_TRUE(resumed) << "writes still refused after the owner acked";
 
   client.Close();
   gw.Stop();

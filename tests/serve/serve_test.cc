@@ -1,5 +1,4 @@
-// Unit tests for the serve front door's control pieces: admission hysteresis,
-// the SLO-adaptive batch controller against a synthetic latency/batch model,
+// Unit tests for the serve front door's control pieces: admission hysteresis
 // and the replica pipeline (SerializeEpochBlobs -> EpochTail -> ReplicaView /
 // ReplicaTable) including the staleness bound and owner-change re-basing.
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include "src/common/value.h"
 #include "src/net/frame.h"
 #include "src/serve/admission.h"
-#include "src/serve/batcher.h"
 #include "src/serve/replica_table.h"
 #include "src/state/chunk.h"
 #include "src/state/keyed_dict.h"
@@ -61,85 +59,15 @@ TEST(AdmissionTest, HysteresisBand) {
   EXPECT_EQ(ac.shed(), 1u);
 }
 
-// --- Batch controller --------------------------------------------------------
-
-// Feeds the batcher full windows of a synthetic latency model until the batch
-// size settles. Returns the settled batch size.
-size_t RunToConvergence(AdaptiveBatcher& b, double (*p99_of_batch)(size_t),
-                        int max_rounds = 200) {
-  size_t last = 0;
-  int stable = 0;
-  for (int round = 0; round < max_rounds && stable < 5; ++round) {
-    size_t batch = b.batch_size();
-    double ms = p99_of_batch(batch);
-    for (size_t i = 0; i < b.options().window; ++i) {
-      b.RecordLatencyMs(ms);
-    }
-    stable = (b.batch_size() == last) ? stable + 1 : 0;
-    last = b.batch_size();
-  }
-  return last;
-}
-
-// Linear queueing model: p99 = 0.05 ms per batched request. With a 10 ms SLO
-// the breach knee is at batch 200 and the grow ceiling (headroom 0.7) at 140.
-double LinearModel(size_t batch) { return 0.05 * static_cast<double>(batch); }
-
-TEST(BatcherTest, ConvergesIntoSloBandFromBelow) {
-  BatcherOptions o;
-  o.slo_p99_ms = 10.0;
-  o.initial_batch = 4;
-  o.max_batch = 512;
-  AdaptiveBatcher b(o);
-
-  size_t settled = RunToConvergence(b, LinearModel);
-  // Settled inside the hold band: past the grow ceiling, under the breach.
-  EXPECT_GE(LinearModel(settled), o.headroom * o.slo_p99_ms);
-  EXPECT_LE(LinearModel(settled), o.slo_p99_ms);
-  EXPECT_GT(b.grow_steps(), 0u);
-  EXPECT_GT(b.last_window_p99_ms(), 0.0);
-}
-
-TEST(BatcherTest, ConvergesIntoSloBandFromAbove) {
-  BatcherOptions o;
-  o.slo_p99_ms = 10.0;
-  o.initial_batch = 512;
-  o.max_batch = 512;
-  AdaptiveBatcher b(o);
-
-  size_t settled = RunToConvergence(b, LinearModel);
-  EXPECT_LE(LinearModel(settled), o.slo_p99_ms);
-  // 512 -> 25.6 ms, 256 -> 12.8 ms: at least two multiplicative decreases.
-  EXPECT_GE(b.shrink_steps(), 2u);
-}
-
-TEST(BatcherTest, HopelessSloClampsToMinBatch) {
-  BatcherOptions o;
-  o.slo_p99_ms = 1.0;
-  o.initial_batch = 64;
-  o.min_batch = 1;
-  AdaptiveBatcher b(o);
-
-  // Even a batch of one breaches the SLO: the controller must floor at
-  // min_batch, not collapse to zero.
-  size_t settled =
-      RunToConvergence(b, [](size_t) { return 50.0; });
-  EXPECT_EQ(settled, o.min_batch);
-}
-
-TEST(BatcherTest, HoldsInsideBand) {
-  BatcherOptions o;
-  o.slo_p99_ms = 10.0;
-  o.initial_batch = 32;
-  AdaptiveBatcher b(o);
-
-  // p99 between headroom*SLO and SLO: no movement in either direction.
-  for (size_t i = 0; i < 10 * o.window; ++i) {
-    b.RecordLatencyMs(8.0);
-  }
-  EXPECT_EQ(b.batch_size(), o.initial_batch);
-  EXPECT_EQ(b.grow_steps(), 0u);
-  EXPECT_EQ(b.shrink_steps(), 0u);
+TEST(AdmissionTest, RefuseRecountsAnAdmittedRequestAsShed) {
+  AdmissionController ac({/*high_water=*/100, /*low_water=*/20});
+  ASSERT_TRUE(ac.Admit());
+  ASSERT_TRUE(ac.Admit());
+  ac.Refuse();  // e.g. the flush found the head's log full
+  EXPECT_EQ(ac.accepted(), 1u);
+  EXPECT_EQ(ac.shed(), 1u);
+  // A refusal is not a load signal: the controller keeps admitting.
+  EXPECT_FALSE(ac.shedding());
 }
 
 // --- Replica pipeline --------------------------------------------------------

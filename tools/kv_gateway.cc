@@ -1,8 +1,7 @@
 // Serving-fleet head + gateway process: the front door of a live KV cluster.
 //
-//   kv_gateway --backup DIR [--port N] [--partitions N] [--slo-ms F]
-//              [--fixed-batch N] [--high-water N] [--low-water N]
-//              [--min-members N] [--auto-recover-ms N]
+//   kv_gateway --backup DIR [--port N] [--partitions N] [--high-water N]
+//              [--low-water N] [--min-members N] [--auto-recover-ms N]
 //
 // Run against serve workers (tools/elastic_worker --serve):
 //
@@ -13,7 +12,9 @@
 //
 // Prints "HEAD port=<membership/serve port>" at start and "SERVING
 // members=<n>" once the fleet is assigned; clients (kv_loadgen, KvClient)
-// connect to the same port. SIGTERM/SIGINT prints a final GWSTATS line and
+// connect to the same port. --high-water/--low-water set the admission
+// marks (requests queued at the gateway + strong gets waiting on an owner +
+// the owner's mailbox depth). SIGTERM/SIGINT prints a final GWSTATS line and
 // exits cleanly. scripts/net_smoke.sh drives this as the serve-phase smoke.
 #include <csignal>
 #include <cstdint>
@@ -34,8 +35,8 @@ void OnSignal(int) { g_stop = 1; }
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --backup DIR [--port N] [--partitions N] "
-               "[--slo-ms F] [--fixed-batch N] [--high-water N] "
-               "[--low-water N] [--min-members N] [--auto-recover-ms N]\n",
+               "[--high-water N] [--low-water N] [--min-members N] "
+               "[--auto-recover-ms N]\n",
                argv0);
   std::exit(2);
 }
@@ -63,10 +64,6 @@ int main(int argc, char** argv) {
       backup = need("--backup");
     } else if (std::strcmp(argv[i], "--partitions") == 0) {
       partitions = static_cast<uint32_t>(std::atoi(need("--partitions")));
-    } else if (std::strcmp(argv[i], "--slo-ms") == 0) {
-      gw.batcher.slo_p99_ms = std::atof(need("--slo-ms"));
-    } else if (std::strcmp(argv[i], "--fixed-batch") == 0) {
-      gw.fixed_batch = static_cast<size_t>(std::atoi(need("--fixed-batch")));
     } else if (std::strcmp(argv[i], "--high-water") == 0) {
       gw.admission.high_water =
           std::strtoull(need("--high-water"), nullptr, 10);
@@ -128,7 +125,7 @@ int main(int argc, char** argv) {
   std::printf(
       "GWSTATS accepted=%llu shed=%llu puts=%llu dels=%llu strong_gets=%llu "
       "replica_hits=%llu replica_misses=%llu timeouts=%llu errors=%llu "
-      "batches=%llu batch=%zu p99_ms=%.3f epochs=%llu\n",
+      "batches=%llu epochs=%llu\n",
       static_cast<unsigned long long>(s.accepted),
       static_cast<unsigned long long>(s.shed),
       static_cast<unsigned long long>(s.puts),
@@ -138,8 +135,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(s.replica_misses),
       static_cast<unsigned long long>(s.timeouts),
       static_cast<unsigned long long>(s.errors),
-      static_cast<unsigned long long>(s.batches), s.batch_size,
-      s.last_window_p99_ms,
+      static_cast<unsigned long long>(s.batches),
       static_cast<unsigned long long>(s.replica_epochs_applied));
   std::fflush(stdout);
   head.Stop();

@@ -6,8 +6,10 @@
 //     smoke: deterministic fill / delete / overload-burst / drain / verify
 //            sequence for scripts/net_smoke.sh — checks the exact KV
 //            contents through strong gets, demands a nonzero shed count
-//            under the deliberate burst, and at least one bounded-stale get
-//            answered from a replica. Prints SHED / REPLICA / KV OK lines.
+//            under the deliberate burst (run it against a slowed worker,
+//            elastic_worker --slow-us, and small admission marks), and at
+//            least one bounded-stale get answered from a replica. Prints
+//            SHED / REPLICA / KV OK lines.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -50,14 +52,49 @@ sdg::Result<sdg::net::ResponseMsg> Retry(Fn&& fn, int attempts = 200) {
 
 int RunSmoke(const std::string& host, uint16_t port, int64_t keys,
              int burst) {
-  sdg::serve::KvClient client({host, port});
+  sdg::serve::KvClientOptions co;
+  co.host = host;
+  co.port = port;
+  // Accepted burst puts are answered only as the slowed owner drains.
+  co.recv_timeout_ms = 60000;
+  sdg::serve::KvClient client(co);
   if (sdg::Status st = client.Connect(); !st.ok()) {
     std::fprintf(stderr, "connect: %s\n", st.ToString().c_str());
     return 1;
   }
 
-  // 1. Deterministic fill + deletes: the reference model is exact.
   std::map<int64_t, std::string> model;
+  // Reads `k` until it matches the model. Writes and reads ride separate
+  // per-entry channels, so allow a settle window per key rather than
+  // demanding instant agreement.
+  auto check_key = [&](int64_t k, bool stale, uint64_t* replica_hits) {
+    std::string want;
+    if (auto it = model.find(k); it != model.end()) {
+      want = it->second;
+    }
+    for (int attempt = 0; attempt < 100; ++attempt) {
+      auto resp = Retry([&] { return client.Get(k, stale, /*max_lag=*/8); });
+      if (!resp.ok() || resp->code != sdg::net::kRespOk) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        continue;
+      }
+      bool from_replica =
+          (resp->flags & sdg::net::kRespFromReplica) != 0;
+      if (from_replica && replica_hits != nullptr) {
+        ++*replica_hits;
+      }
+      if (resp->value == want) {
+        return true;
+      }
+      // A stale answer may legitimately trail the last writes briefly.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    std::fprintf(stderr, "key %lld: wrong value (want '%s')\n",
+                 static_cast<long long>(k), want.c_str());
+    return false;
+  };
+
+  // 1. Deterministic fill + deletes: the reference model is exact.
   for (int64_t k = 0; k < keys; ++k) {
     std::string v = "v" + std::to_string(k);
     auto resp = Retry([&] { return client.Put(k, v); });
@@ -69,6 +106,12 @@ int RunSmoke(const std::string& host, uint16_t port, int64_t keys,
     model[k] = v;
   }
   for (int64_t k = 0; k < keys; k += 5) {
+    // Puts and dels ride separate per-entry channels, so a del could
+    // overtake its key's put on the way to a slow owner: read the put back
+    // before deleting.
+    if (!check_key(k, /*stale=*/false, nullptr)) {
+      return 1;
+    }
     auto resp = Retry([&] { return client.Del(k); });
     if (!resp.ok() || resp->code != sdg::net::kRespOk) {
       std::fprintf(stderr, "del %lld failed\n", static_cast<long long>(k));
@@ -77,9 +120,10 @@ int RunSmoke(const std::string& host, uint16_t port, int64_t keys,
     model.erase(k);
   }
 
-  // 2. Overload burst: pipeline far more puts than the admission high-water
-  // (keys outside the verify range). The gateway must shed some with
-  // kOverloaded, and every response must still arrive.
+  // 2. Overload burst: pipeline far more puts (keys outside the verify range)
+  // than a slowed owner's stream windows plus the gateway's queue can hold.
+  // The gateway must shed some with kOverloaded, and every response must
+  // still arrive.
   uint64_t shed = 0;
   uint64_t first_burst_id = 0;
   for (int i = 0; i < burst; ++i) {
@@ -115,35 +159,7 @@ int RunSmoke(const std::string& host, uint16_t port, int64_t keys,
     return 1;
   }
 
-  // 3. Drain, then verify the exact contents via strong gets. Writes and
-  // reads ride separate per-entry channels, so allow a short settle window
-  // per key rather than demanding instant agreement.
-  auto check_key = [&](int64_t k, bool stale, uint64_t* replica_hits) {
-    std::string want;
-    if (auto it = model.find(k); it != model.end()) {
-      want = it->second;
-    }
-    for (int attempt = 0; attempt < 100; ++attempt) {
-      auto resp = Retry([&] { return client.Get(k, stale, /*max_lag=*/8); });
-      if (!resp.ok() || resp->code != sdg::net::kRespOk) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        continue;
-      }
-      bool from_replica =
-          (resp->flags & sdg::net::kRespFromReplica) != 0;
-      if (from_replica && replica_hits != nullptr) {
-        ++*replica_hits;
-      }
-      if (resp->value == want) {
-        return true;
-      }
-      // A stale answer may legitimately trail the last writes briefly.
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    std::fprintf(stderr, "key %lld: wrong value (want '%s')\n",
-                 static_cast<long long>(k), want.c_str());
-    return false;
-  };
+  // 3. Drain, then verify the exact contents via strong gets.
   for (int64_t k = 0; k < keys; ++k) {
     if (!check_key(k, /*stale=*/false, nullptr)) {
       return 1;
@@ -176,7 +192,7 @@ int main(int argc, char** argv) {
   std::string mode = "bench";
   sdg::serve::LoadGenOptions o;
   int64_t keys = 200;
-  int burst = 4000;
+  int burst = 10000;
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
