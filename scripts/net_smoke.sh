@@ -4,6 +4,7 @@
 # Phase 1 — kill/restart: starts a receiver, streams lines into it from a
 # sender process, SIGKILLs the receiver after its first checkpoint
 # (mid-stream), restarts it on the same port from the snapshot, and asserts:
+#   - the sender's channel rides exactly one (mux) socket to the receiver,
 #   - the sender exits 0 (every line durably acknowledged),
 #   - the receiver's final word count is exactly 2 * LINES — reconnect-replay
 #     lost nothing, and the snapshot watermark + dedup double-counted nothing.
@@ -35,6 +36,7 @@ WORK="$(mktemp -d /tmp/sdg_net_smoke.XXXXXX)"
 SNAP="$WORK/wordcount.snap"
 RECV_PID=""
 SEND_PID=""
+SOCKS_PID=""
 HEAD_PID=""
 W1_PID=""
 W2_PID=""
@@ -55,6 +57,7 @@ kill_group() {  # kill_group <pid> — group kill, falling back to the pid
 cleanup() {
   kill_group "$RECV_PID"
   kill_group "$SEND_PID"
+  [ -n "$SOCKS_PID" ] && kill "$SOCKS_PID" 2>/dev/null
   kill_group "$HEAD_PID"
   kill_group "$W1_PID"
   kill_group "$W2_PID"
@@ -92,24 +95,39 @@ count_data_socks() {
     | wc -l
 }
 
-# assert_one_data_sock <port> <who> — the multiplexed transport's core
-# promise: ALL (entry, partition) channels to one worker share ONE socket.
+# assert_one_data_sock <port> <who> [pid] — the multiplexed transport's core
+# promise: ALL (entry, partition) channels to one peer share ONE socket.
 # Polls until the count is nonzero and stable (the head connects channels as
 # partitions flip), then requires exactly 1. A count that settles above 1
-# means channels fell back to per-channel sockets — the O(entries x
-# partitions) regression this guard exists to catch.
+# means channels stopped sharing the socket — the O(entries x partitions)
+# regression this guard exists to catch. With a pid (a dialer that may be
+# gone before the count is stable), samples every 10 ms for as long as the
+# pid lives and requires a peak of exactly 1 instead.
 assert_one_data_sock() {
   local n=0 prev=-1 deadline=$(( $(date +%s) + 15 ))
-  while [ "$(date +%s)" -lt "$deadline" ]; do
-    n="$(count_data_socks "$1")"
-    if [ "$n" -gt 0 ] && [ "$n" = "$prev" ]; then
-      break
-    fi
-    prev="$n"
-    sleep 0.3
-  done
-  [ "$n" = "1" ] || return 1
-  echo "MUX SOCKETS OK: $2 data port $1 has exactly 1 shared socket"
+  if [ -n "${3:-}" ]; then
+    local peak=0
+    while kill -0 "$3" 2>/dev/null; do
+      n="$(count_data_socks "$1")"
+      [ "$n" -gt "$peak" ] && peak="$n"
+      sleep 0.01
+    done
+    n="$peak"
+  else
+    while [ "$(date +%s)" -lt "$deadline" ]; do
+      n="$(count_data_socks "$1")"
+      if [ "$n" -gt 0 ] && [ "$n" = "$prev" ]; then
+        break
+      fi
+      prev="$n"
+      sleep 0.3
+    done
+  fi
+  if [ "$n" != "1" ]; then
+    echo "$2 port $1 had $n sockets, want 1 (mux)" >&2
+    return 1
+  fi
+  echo "MUX SOCKETS OK: $2 port $1 has exactly 1 shared socket"
   return 0
 }
 
@@ -124,6 +142,10 @@ wait_for "LISTENING" "$WORK/recv1.log" 10 || fail "receiver 1 never listened"
 $SETSID "$BIN" --role sender --port "$PORT" --lines "$LINES" --batch 64 \
   > "$WORK/send.log" 2>&1 &
 SEND_PID=$!
+# The sender can finish within one stability poll, so its socket count is
+# watched for its whole life, across the receiver restart below.
+assert_one_data_sock "$PORT" "receiver" "$SEND_PID" > "$WORK/socks.log" 2>&1 &
+SOCKS_PID=$!
 
 wait_for "CKPT" "$WORK/recv1.log" 30 || fail "receiver 1 never checkpointed"
 kill -9 "$RECV_PID"
@@ -131,8 +153,8 @@ wait "$RECV_PID" 2>/dev/null
 KILLED_AT="$(grep CKPT "$WORK/recv1.log" | tail -1)"
 echo "receiver killed mid-stream after: $KILLED_AT"
 
-# Incarnation 2: same port, restored from the snapshot. The sender's
-# reconnect handshake learns the durable watermark and replays past it.
+# Incarnation 2: same port, restored from the snapshot. The sender's stream
+# reopen learns the durable watermark and replays past it.
 sleep 0.2
 $SETSID "$BIN" --role receiver --port "$PORT" --snapshot "$SNAP" \
   --ckpt-interval-ms 100 > "$WORK/recv2.log" 2>&1 &
@@ -144,6 +166,8 @@ wait "$SEND_PID"
 SEND_RC=$?
 SEND_PID=""
 [ "$SEND_RC" -eq 0 ] || fail "sender exited $SEND_RC"
+wait "$SOCKS_PID" || fail "$(cat "$WORK/socks.log")"
+cat "$WORK/socks.log"
 
 # The final checkpoint must cover the last timestamp with the exact mass.
 # If the kill happened to land after everything was already durable, receiver 2
@@ -211,7 +235,7 @@ wait_for "ASSIGNED" "$WORK/head.log" 15 || fail2 "partitions never assigned"
 wait_for "READY port=" "$WORK/w1.log" 15 || fail2 "worker 1 never printed READY"
 W1_PORT="$(grep -o 'READY port=[0-9]*' "$WORK/w1.log" | head -1 | cut -d= -f2)"
 assert_one_data_sock "$W1_PORT" "worker 1" \
-  || fail2 "worker 1 data port $W1_PORT has $(count_data_socks "$W1_PORT") sockets, want 1 (mux)"
+  || fail2 "worker 1 data port $W1_PORT is not on exactly 1 socket"
 
 # Worker 2 joins mid-stream; the head's management loop must notice the
 # imbalance and live-migrate at least one partition onto it.

@@ -4,8 +4,21 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/net/mux.h"
 
 namespace sdg::net {
+
+namespace {
+// Staged-frame bound of member and feed connections.
+constexpr size_t kPeerSendQueueFrames = 16;
+// Client connections: responses are small and clients pipeline deeply.
+constexpr size_t kClientSendQueueFrames = 16384;
+// Initial flow-control window (frames in flight) granted to each data
+// stream. Bounds per-stream backlog on this side — streams never pause the
+// shared socket's read interest, so the window is the only thing keeping a
+// hot stream's frames from piling up.
+constexpr uint32_t kMuxStreamWindow = 64;
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // PeerDispatch
@@ -105,9 +118,8 @@ void ChannelServer::PeerDispatch::Drain() {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
   }
-  // Frames already handed over are still dispatched (parity with the
-  // threaded reader, which delivers what it decoded before the socket cut);
-  // anything beyond that is unacked and will be replayed by the sender.
+  // Frames already handed over are still dispatched; anything beyond that is
+  // unacked and will be replayed by the sender.
   AwaitIdle();
 }
 
@@ -120,14 +132,9 @@ ChannelServer::ServeSnapshot() {
   return serve_;
 }
 
-// One dispatch slice for any peer kind. Runs on the peer's dispatch entity
-// (event-loop mode) or reader thread (threaded mode) — never the epoll loop.
+// One dispatch slice of a data stream, client or feed peer. Runs on the
+// peer's dispatch entity — never the epoll loop.
 void ChannelServer::DispatchPeerFrames(Peer& peer, std::vector<Frame> frames) {
-  if (peer.is_mux) {
-    // Mux parent frames never reach here: kMuxOpen is handled on a dedicated
-    // thread (see SetupMuxPeer) and everything else routes to a stream.
-    return;
-  }
   if (peer.is_client) {
     // The whole slice goes to the gateway in one call, so the answers it can
     // give on the spot leave as one write.
@@ -152,23 +159,13 @@ void ChannelServer::DispatchPeerFrames(Peer& peer, std::vector<Frame> frames) {
     if (serve == nullptr || serve->on_request == nullptr) {
       // No gateway installed: cut the connection instead of silently eating
       // the requests, so the client fails fast and redials a live gateway.
-      if (peer.conn != nullptr) {
-        peer.conn->Abort(UnavailableError("no serve handler installed"));
-      }
+      peer.conn->Abort(UnavailableError("no serve handler installed"));
       return;
     }
     serve->on_request(peer.client_id, std::move(reqs));
     return;
   }
   for (Frame& frame : frames) {
-    if (peer.is_member) {
-      // A mux reply stream: kResponse (etc.) frames take the member-frame
-      // route — same handler as the control channel, different wire.
-      if (on_member_ != nullptr) {
-        on_member_(peer.member_id, std::move(frame));
-      }
-      continue;
-    }
     if (peer.is_feed) {
       if (frame.type != FrameType::kReplicaEpoch) {
         continue;
@@ -185,9 +182,7 @@ void ChannelServer::DispatchPeerFrames(Peer& peer, std::vector<Frame> frames) {
         // gateway's replica views (a base eaten now leaves every later delta
         // inapplicable). Cut the link: the worker redials with backoff and
         // replays its tail — base first — once a gateway is listening.
-        if (peer.conn != nullptr) {
-          peer.conn->Abort(UnavailableError("no serve handler installed"));
-        }
+        peer.conn->Abort(UnavailableError("no serve handler installed"));
         return;
       }
       serve->on_feed(peer.subscribe, std::move(*msg));
@@ -204,12 +199,6 @@ void ChannelServer::DispatchPeerFrames(Peer& peer, std::vector<Frame> frames) {
     }
     on_batch_(peer.handshake, std::move(decoded->items));
   }
-}
-
-void ChannelServer::DispatchPeerFrame(Peer& peer, Frame frame) {
-  std::vector<Frame> one;
-  one.push_back(std::move(frame));
-  DispatchPeerFrames(peer, std::move(one));
 }
 
 ChannelServer::ChannelServer(ChannelServerOptions options)
@@ -230,27 +219,23 @@ Status ChannelServer::Start(HandshakeFn on_handshake, BatchFn on_batch,
   on_migration_ = std::move(on_migration);
   SDG_ASSIGN_OR_RETURN(listener_, Listener::Bind(options_.port));
   port_ = listener_.port();
-  if (options_.mode == NetMode::kEventLoop) {
-    executor_ = options_.executor != nullptr ? options_.executor
-                                             : runtime::Executor::Shared();
-    loop_ = options_.loop != nullptr ? options_.loop : EventLoop::Shared();
-    SDG_RETURN_IF_ERROR(listener_.SetNonBlocking(true));
-    SDG_RETURN_IF_ERROR(loop_->Register(listener_.fd(), this,
-                                        /*want_read=*/true,
-                                        /*want_write=*/false));
-  } else {
-    acceptor_ = std::thread([this] { AcceptLoop(); });
-  }
+  executor_ = options_.executor != nullptr ? options_.executor
+                                           : runtime::Executor::Shared();
+  loop_ = options_.loop != nullptr ? options_.loop : EventLoop::Shared();
+  SDG_RETURN_IF_ERROR(listener_.SetNonBlocking(true));
+  SDG_RETURN_IF_ERROR(loop_->Register(listener_.fd(), this,
+                                      /*want_read=*/true,
+                                      /*want_write=*/false));
   return Status::Ok();
 }
 
-// Listener readiness (event-loop mode, loop thread): accept everything
-// pending, then hand each handshake to a short-lived setup thread. The
-// handshake is deliberately NOT an executor task: it blocks waiting on the
-// client, and the client side of a reconnect may itself be an executor task
-// blocked waiting on this ack — on a small pool that is a circular wait.
-// Setup threads exist only during connection churn, so the steady-state
-// thread count stays O(pool size).
+// Listener readiness (loop thread): accept everything pending, then hand
+// each first-frame exchange to a short-lived setup thread. The setup is
+// deliberately NOT an executor task: it blocks waiting on the client, and
+// the client side may itself be an executor task blocked waiting on this
+// reply — on a small pool that is a circular wait. Setup threads exist only
+// during connection churn, so the steady-state thread count stays O(pool
+// size).
 void ChannelServer::OnReadable() {
   for (;;) {
     auto sock = listener_.TryAccept();
@@ -269,132 +254,46 @@ void ChannelServer::OnReadable() {
   }
 }
 
-void ChannelServer::AcceptLoop() {
-  while (running_.load(std::memory_order_acquire)) {
-    auto sock = listener_.Accept();
-    if (!sock.ok()) {
-      return;  // listener closed (Stop) or fatal accept error
-    }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    // Handshakes run off the acceptor so one slow client cannot delay the
-    // next accept.
-    std::lock_guard<std::mutex> lock(peers_mutex_);
-    if (!running_.load(std::memory_order_acquire)) {
-      return;
-    }
-    setup_threads_.emplace_back(
-        [this, s = std::make_shared<Socket>(std::move(*sock))]() mutable {
-          SetupPeer(std::move(*s));
-        });
-  }
-}
-
 void ChannelServer::SetupPeer(Socket socket) {
-  // Bound the handshake so a silent client cannot pin this thread (and
-  // therefore Stop) indefinitely. Cleared before the data-path regime, where
-  // an idle-but-healthy peer is normal.
+  // Bound the first-frame read so a silent client cannot pin this thread
+  // (and therefore Stop) indefinitely. Cleared before the event-loop regime,
+  // where an idle-but-healthy peer is normal.
   socket.SetRecvTimeout(5000);
   FrameDecoder carry;
   auto first = ReadFrameBlocking(socket, carry);
   if (!first.ok()) {
-    SDG_LOG(kWarning) << "connection dropped before handshake";
+    SDG_LOG(kWarning) << "connection dropped before its first frame";
     return;
   }
-  // The first frame selects the connection's role: a data handshake (the
-  // historical path), a membership join, or an inbound migration session.
-  if (first->type == FrameType::kJoin) {
-    SetupMember(std::move(socket), std::move(carry), *first);
-    return;
-  }
-  if (first->type == FrameType::kMuxHello) {
-    SetupMuxPeer(std::move(socket), std::move(carry), *first);
-    return;
-  }
-  if (first->type == FrameType::kMigrateBegin) {
-    auto begin = MigrateBeginMsg::Decode(first->payload);
-    if (!begin.ok() || on_migration_ == nullptr) {
-      SDG_LOG(kWarning) << "migration session rejected: "
-                        << (begin.ok() ? "no handler"
-                                       : begin.status().ToString());
+  // The first frame selects the connection's role.
+  switch (first->type) {
+    case FrameType::kJoin:
+      SetupMember(std::move(socket), std::move(carry), *first);
+      return;
+    case FrameType::kMuxHello:
+      SetupMuxPeer(std::move(socket), std::move(carry), *first);
+      return;
+    case FrameType::kMigrateBegin: {
+      auto begin = MigrateBeginMsg::Decode(first->payload);
+      if (!begin.ok() || on_migration_ == nullptr) {
+        SDG_LOG(kWarning) << "migration session rejected: "
+                          << (begin.ok() ? "no handler"
+                                         : begin.status().ToString());
+        return;
+      }
+      socket.SetRecvTimeout(0);
+      on_migration_(std::move(socket), std::move(carry), *begin);
       return;
     }
-    socket.SetRecvTimeout(0);
-    on_migration_(std::move(socket), std::move(carry), *begin);
-    return;
+    case FrameType::kRequest:
+    case FrameType::kReplicaSubscribe:
+      SetupServePeer(std::move(socket), std::move(carry), std::move(*first));
+      return;
+    default:
+      SDG_LOG(kWarning) << "connection opened with unexpected frame type "
+                        << static_cast<int>(first->type);
+      return;
   }
-  if (first->type == FrameType::kRequest ||
-      first->type == FrameType::kReplicaSubscribe) {
-    SetupServePeer(std::move(socket), std::move(carry), std::move(*first));
-    return;
-  }
-  if (first->type != FrameType::kHandshake) {
-    SDG_LOG(kWarning) << "connection opened with unexpected frame type "
-                      << static_cast<int>(first->type);
-    return;
-  }
-  auto hs = Handshake::Decode(first->payload);
-  if (!hs.ok()) {
-    SDG_LOG(kWarning) << "malformed handshake: " << hs.status().ToString();
-    return;
-  }
-
-  HandshakeAck ack;
-  if (hs->protocol != kProtocolVersion) {
-    ack.accepted = false;
-    ack.message = "protocol version mismatch";
-  } else {
-    auto watermark = on_handshake_(*hs);
-    if (watermark.ok()) {
-      ack.accepted = true;
-      ack.acked_ts = *watermark;
-    } else {
-      ack.accepted = false;
-      ack.message = watermark.status().message();
-    }
-  }
-  Status sent = WriteFrameBlocking(socket, FrameType::kHandshakeAck,
-                                   ack.Encode());
-  if (!sent.ok() || !ack.accepted) {
-    return;
-  }
-
-  socket.SetRecvTimeout(0);
-  auto peer = std::make_shared<Peer>();
-  peer->handshake = std::move(*hs);
-  Peer* raw = peer.get();
-  Connection::Options copts;
-  copts.send_queue_frames = options_.send_queue_frames;
-  if (options_.mode == NetMode::kEventLoop) {
-    peer->dispatch = std::make_unique<PeerDispatch>(this, raw, executor_);
-    PeerDispatch* dispatch = peer->dispatch.get();
-    copts.loop = loop_;
-    peer->conn = std::make_unique<Connection>(
-        std::move(socket), copts,
-        [dispatch](Frame frame) { dispatch->PushFrame(std::move(frame)); },
-        [](const Status&) {
-          // A broken inbound connection is routine (sender failover or
-          // restart); the peer is reaped on the next Ack/Stop.
-        },
-        std::move(carry));
-    dispatch->SetConnection(peer->conn.get());
-  } else {
-    peer->conn = std::make_unique<Connection>(
-        std::move(socket), copts,
-        [this, raw](Frame frame) {
-          DispatchPeerFrame(*raw, std::move(frame));
-        },
-        [](const Status&) {
-          // Reaped on the next Ack/Stop, as above.
-        },
-        std::move(carry));
-  }
-  std::lock_guard<std::mutex> lock(peers_mutex_);
-  if (!running_.load(std::memory_order_acquire)) {
-    ClosePeer(*peer);  // raced with Stop — do not install
-    return;
-  }
-  ReapBrokenPeersLocked();
-  peers_.push_back(std::move(peer));
 }
 
 void ChannelServer::SetupMember(Socket socket, FrameDecoder carry,
@@ -432,12 +331,12 @@ void ChannelServer::SetupMember(Socket socket, FrameDecoder carry,
   peer->member_id = ack.member_id;
   const uint32_t member_id = ack.member_id;
   Connection::Options copts;
-  copts.send_queue_frames = options_.send_queue_frames;
-  if (options_.mode == NetMode::kEventLoop) {
-    copts.loop = loop_;
-  }
-  // Member frames are control replies — rare and small — so both modes route
-  // them straight from the IO thread; on_member_ must not block.
+  copts.send_queue_frames = kPeerSendQueueFrames;
+  copts.loop = loop_;
+  // Member frames are control replies and every strong-read reply of the
+  // member: handled straight on the loop thread, with no executor hop, so
+  // on_member_ must not block. The failure detector only sends on this
+  // channel (head -> worker probes), so reply traffic cannot delay it.
   peer->conn = std::make_unique<Connection>(
       std::move(socket), copts,
       [this, member_id](Frame frame) {
@@ -470,10 +369,7 @@ void ChannelServer::SetupMember(Socket socket, FrameDecoder carry,
     }
   }
   peers_.push_back(std::move(peer));
-  BinaryWriter frame;
-  const std::vector<uint8_t> payload = ack.Encode();
-  EncodeFrame(frame, FrameType::kJoinAck, payload.data(), payload.size());
-  (void)conn->Send(frame.buffer());
+  (void)conn->SendFrame(FrameType::kJoinAck, 0, ack.Encode());
 }
 
 void ChannelServer::SetupMuxPeer(Socket socket, FrameDecoder carry,
@@ -482,13 +378,11 @@ void ChannelServer::SetupMuxPeer(Socket socket, FrameDecoder carry,
   MuxHelloAckMsg ack;
   if (!hello.ok()) {
     ack.message = "malformed mux hello";
-  } else if (hello->protocol != kProtocolVersionMux) {
+  } else if (hello->protocol != kProtocolVersion) {
     ack.message = "protocol version mismatch";
-  } else if (options_.mode != NetMode::kEventLoop) {
-    ack.message = "mux requires event-loop mode";
   } else {
     ack.accepted = true;
-    ack.window = options_.mux_stream_window;
+    ack.window = kMuxStreamWindow;
   }
   Status sent =
       WriteFrameBlocking(socket, FrameType::kMuxHelloAck, ack.Encode());
@@ -500,11 +394,8 @@ void ChannelServer::SetupMuxPeer(Socket socket, FrameDecoder carry,
   peer->is_mux = true;
   Peer* raw = peer.get();
   Connection::Options copts;
-  // Many streams share this socket's staging buffer; fairness comes from the
-  // per-stream credit windows, not this bound.
-  copts.send_queue_frames = std::max<size_t>(options_.send_queue_frames, 256);
+  copts.send_queue_frames = kMuxSendQueueFrames;
   copts.loop = loop_;
-  copts.mux_frames = true;
   std::weak_ptr<Peer> weak = peer;
   peer->conn = std::make_unique<Connection>(
       std::move(socket), copts,
@@ -513,8 +404,8 @@ void ChannelServer::SetupMuxPeer(Socket socket, FrameDecoder carry,
           // Opens run on a short-lived dedicated thread, NEVER the shared
           // executor: the opener on the other end may itself be an executor
           // task blocking on the ack, and on a small pool the two would
-          // starve each other (the same rule that puts per-channel
-          // handshakes on setup threads). ClosePeer waits these out via
+          // starve each other (the same rule that puts first-frame setup on
+          // setup threads). ClosePeer waits these out via
           // mux_opens_inflight; the shared_ptr keeps the peer alive for the
           // thread's tail.
           auto sp = weak.lock();
@@ -591,52 +482,37 @@ void ChannelServer::HandleMuxOpen(Peer& peer, const Frame& frame) {
   std::shared_ptr<Peer> stream;
   if (!open.ok()) {
     ack.message = "malformed mux open";
-  } else if (open->kind == kMuxStreamData) {
+  } else if (on_handshake_ == nullptr) {
+    ack.message = "no handshake handler";
+  } else {
     Handshake hs;
     hs.deployment_id = open->deployment_id;
     hs.source_task = open->source_task;
     hs.source_instance = open->source_instance;
     hs.entry = open->entry;
     hs.emit_clock = open->emit_clock;
-    if (on_handshake_ == nullptr) {
-      ack.message = "no handshake handler";
-    } else {
-      auto watermark = on_handshake_(hs);
-      if (watermark.ok()) {
-        ack.accepted = true;
-        ack.acked_ts = *watermark;
-        stream = std::make_shared<Peer>();
-        stream->handshake = std::move(hs);
-      } else {
-        ack.message = std::string(watermark.status().message());
-      }
-    }
-  } else if (open->kind == kMuxStreamReply) {
-    if (on_member_ == nullptr) {
-      ack.message = "no member-frame handler";
-    } else {
+    auto watermark = on_handshake_(hs);
+    if (watermark.ok()) {
       ack.accepted = true;
+      ack.acked_ts = *watermark;
       stream = std::make_shared<Peer>();
-      stream->is_member = true;
-      stream->member_id = open->member_id;
+      stream->handshake = std::move(hs);
+    } else {
+      ack.message = std::string(watermark.status().message());
     }
-  } else {
-    ack.message = "unknown stream kind";
   }
   if (stream != nullptr) {
-    ack.window = options_.mux_stream_window;
-    stream->mux_stream = stream_id;
+    ack.window = kMuxStreamWindow;
     Peer* raw_stream = stream.get();
     Connection* conn = peer.conn.get();
-    const uint32_t grant_at =
-        std::max<uint32_t>(1, options_.mux_stream_window / 2);
+    constexpr uint32_t kGrantAt = kMuxStreamWindow / 2;
     // Credit grants ride the consumed-frames hook: once the entity has
     // dispatched half a window, hand the credits back. Blocking send — a
     // lost grant would wedge the sender for good (unlike a lost ack, which
     // the next open's watermark repairs).
-    auto grant = [raw_stream, conn, stream_id, grant_at](size_t n) {
+    auto grant = [raw_stream, conn, stream_id](size_t n) {
       raw_stream->mux_consumed += static_cast<uint32_t>(n);
-      if (raw_stream->mux_consumed >= grant_at) {
+      if (raw_stream->mux_consumed >= kGrantAt) {
         MuxWindowMsg msg;
         msg.credits = raw_stream->mux_consumed;
         raw_stream->mux_consumed = 0;
@@ -646,22 +522,18 @@ void ChannelServer::HandleMuxOpen(Peer& peer, const Frame& frame) {
     stream->dispatch = std::make_unique<PeerDispatch>(
         this, raw_stream, executor_, /*wire_pause=*/false, std::move(grant));
     std::lock_guard<std::mutex> lock(peer.mux_mu);
-    if (stream->is_member == false) {
-      // A reopened channel identity (migration flip, sender-side redial on
-      // the same socket) supersedes the old stream: stop routing to it, but
-      // keep it alive until ClosePeer for in-flight slices.
-      for (auto it = peer.streams.begin(); it != peer.streams.end();) {
-        const auto& old = *it->second;
-        if (!old.is_member &&
-            old.handshake.source_task == stream->handshake.source_task &&
-            old.handshake.source_instance ==
-                stream->handshake.source_instance &&
-            old.handshake.entry == stream->handshake.entry) {
-          peer.retired_streams.push_back(std::move(it->second));
-          it = peer.streams.erase(it);
-        } else {
-          ++it;
-        }
+    // A reopened channel identity (migration flip, sender-side redial on the
+    // same socket) supersedes the old stream: stop routing to it, but keep
+    // it alive until ClosePeer for in-flight slices.
+    for (auto it = peer.streams.begin(); it != peer.streams.end();) {
+      const Handshake& old = it->second->handshake;
+      if (old.source_task == stream->handshake.source_task &&
+          old.source_instance == stream->handshake.source_instance &&
+          old.entry == stream->handshake.entry) {
+        peer.retired_streams.push_back(std::move(it->second));
+        it = peer.streams.erase(it);
+      } else {
+        ++it;
       }
     }
     peer.streams[stream_id] = std::move(stream);
@@ -690,54 +562,33 @@ void ChannelServer::SetupServePeer(Socket socket, FrameDecoder carry,
     peer->subscribe = std::move(*sub);
   }
   socket.SetRecvTimeout(0);
-  Peer* raw = peer.get();
   Connection::Options copts;
-  copts.send_queue_frames = options_.send_queue_frames;
+  copts.loop = loop_;
+  // Responses are tiny and clients pipeline: a deep send queue makes the
+  // non-blocking response path lossless for any sane pipeline depth while
+  // still bounding what a never-reading client can pin.
+  copts.send_queue_frames =
+      peer->is_client ? kClientSendQueueFrames : kPeerSendQueueFrames;
+  peer->dispatch = std::make_unique<PeerDispatch>(this, peer.get(), executor_);
+  PeerDispatch* dispatch = peer->dispatch.get();
+  // Held until the peer is installed in peers_: a handler running off the
+  // first request would respond via SendToClient, which scans peers_ —
+  // dispatching before installation silently drops that response.
+  dispatch->Hold();
+  // The first request must keep wire order with whatever the carry decoder
+  // already buffered, so it goes through the dispatch before the Connection
+  // starts feeding it.
   if (peer->is_client) {
-    // Responses are tiny and clients pipeline: a deep send queue makes the
-    // non-blocking response path lossless for any sane pipeline depth while
-    // still bounding what a never-reading client can pin.
-    copts.send_queue_frames =
-        std::max<size_t>(options_.send_queue_frames, 16384);
+    dispatch->PushFrame(std::move(first));
   }
-  PeerDispatch* dispatch = nullptr;
-  bool dispatch_first_after_install = false;
-  if (options_.mode == NetMode::kEventLoop) {
-    peer->dispatch = std::make_unique<PeerDispatch>(this, raw, executor_);
-    dispatch = peer->dispatch.get();
-    // Held until the peer is installed in peers_: a handler running off the
-    // first request would respond via SendToClient, which scans peers_ —
-    // dispatching before installation silently drops that response.
-    dispatch->Hold();
-    // The first request must keep wire order with whatever the carry decoder
-    // already buffered, so it goes through the dispatch before the
-    // Connection starts feeding it.
-    if (peer->is_client) {
-      dispatch->PushFrame(std::move(first));
-    }
-    copts.loop = loop_;
-    peer->conn = std::make_unique<Connection>(
-        std::move(socket), copts,
-        [dispatch](Frame frame) { dispatch->PushFrame(std::move(frame)); },
-        [](const Status&) {
-          // Client/feed churn is routine; reaped on the next send/Stop.
-        },
-        std::move(carry));
-    dispatch->SetConnection(peer->conn.get());
-  } else {
-    // Threaded mode has no dispatch queue to hold, so the first request is
-    // dispatched after installation instead. A client awaits the response to
-    // its first request before pipelining (Connect is not acked otherwise),
-    // so the reader thread has nothing to reorder in front of it.
-    dispatch_first_after_install = peer->is_client;
-    peer->conn = std::make_unique<Connection>(
-        std::move(socket), copts,
-        [this, raw](Frame frame) {
-          DispatchPeerFrame(*raw, std::move(frame));
-        },
-        [](const Status&) {},
-        std::move(carry));
-  }
+  peer->conn = std::make_unique<Connection>(
+      std::move(socket), copts,
+      [dispatch](Frame frame) { dispatch->PushFrame(std::move(frame)); },
+      [](const Status&) {
+        // Client/feed churn is routine; reaped on the next send/Stop.
+      },
+      std::move(carry));
+  dispatch->SetConnection(peer->conn.get());
   {
     std::lock_guard<std::mutex> lock(peers_mutex_);
     if (!running_.load(std::memory_order_acquire)) {
@@ -747,14 +598,9 @@ void ChannelServer::SetupServePeer(Socket socket, FrameDecoder carry,
     ReapBrokenPeersLocked();
     peers_.push_back(peer);
   }
-  // Outside peers_mutex_: the released slice (or the inline dispatch) may
-  // call straight back into SendToClient.
-  if (dispatch != nullptr) {
-    dispatch->Release();
-  }
-  if (dispatch_first_after_install) {
-    DispatchPeerFrame(*raw, std::move(first));
-  }
+  // Outside peers_mutex_: the released slice may call straight back into
+  // SendToClient.
+  dispatch->Release();
 }
 
 void ChannelServer::ClosePeer(Peer& peer) {
@@ -801,40 +647,38 @@ void ChannelServer::ReapBrokenPeersLocked() {
   }
 }
 
-void ChannelServer::Ack(uint64_t watermark) {
-  AckMsg msg;
-  msg.acked_ts = watermark;
-  auto payload = msg.Encode();
-  BinaryWriter frame;
-  EncodeFrame(frame, FrameType::kAck, payload.data(), payload.size());
-  const std::vector<uint8_t>& bytes = frame.buffer();
+void ChannelServer::AckStreams(
+    const std::function<std::optional<uint64_t>(const Handshake&)>&
+        watermark_of) {
   std::lock_guard<std::mutex> lock(peers_mutex_);
   ReapBrokenPeersLocked();
   for (auto& peer : peers_) {
-    if (peer->is_member) {
+    if (!peer->is_mux) {
       continue;
     }
-    if (peer->is_mux) {
-      // Coalesce: one frame carries every data stream's watermark.
-      MuxAckBatchMsg batch;
-      {
-        std::lock_guard<std::mutex> mux_lock(peer->mux_mu);
-        for (auto& [id, stream] : peer->streams) {
-          if (!stream->is_member) {
-            batch.entries.push_back({id, watermark});
-          }
+    // Coalesce: one frame carries every matching stream's watermark.
+    MuxAckBatchMsg batch;
+    {
+      std::lock_guard<std::mutex> mux_lock(peer->mux_mu);
+      for (auto& [id, stream] : peer->streams) {
+        if (auto watermark = watermark_of(stream->handshake)) {
+          batch.entries.push_back({id, *watermark});
         }
       }
-      if (!batch.entries.empty()) {
-        (void)peer->conn->TrySendFrame(FrameType::kMuxAckBatch, 0,
-                                       batch.Encode());
-      }
-      continue;
     }
-    // Best-effort: a dropped ack is repaired by the watermark in the next
-    // handshake, so never block the checkpoint path on a wedged peer.
-    (void)peer->conn->TrySend(bytes);
+    if (!batch.entries.empty()) {
+      // Best-effort: a dropped ack is repaired by the watermark in the next
+      // open-ack, so never block the checkpoint path on a wedged peer.
+      (void)peer->conn->TrySendFrame(FrameType::kMuxAckBatch, 0,
+                                     batch.Encode());
+    }
   }
+}
+
+void ChannelServer::Ack(uint64_t watermark) {
+  AckStreams([watermark](const Handshake&) -> std::optional<uint64_t> {
+    return watermark;
+  });
 }
 
 void ChannelServer::AckSource(uint32_t source_task, uint32_t source_instance,
@@ -846,68 +690,24 @@ void ChannelServer::AckSources(const std::vector<SourceAck>& acks) {
   if (acks.empty()) {
     return;
   }
-  // Pre-encode one kAck frame per source for the per-channel peers.
-  std::vector<std::vector<uint8_t>> frames;
-  frames.reserve(acks.size());
-  for (const auto& ack : acks) {
-    AckMsg msg;
-    msg.acked_ts = ack.watermark;
-    auto payload = msg.Encode();
-    BinaryWriter frame;
-    EncodeFrame(frame, FrameType::kAck, payload.data(), payload.size());
-    frames.push_back(frame.buffer());
-  }
-  std::lock_guard<std::mutex> lock(peers_mutex_);
-  ReapBrokenPeersLocked();
-  for (auto& peer : peers_) {
-    if (peer->is_member) {
-      continue;
-    }
-    if (peer->is_mux) {
-      // One coalesced frame per peer: every stream matching any acked
-      // source gets its watermark in the same kMuxAckBatch.
-      MuxAckBatchMsg batch;
-      {
-        std::lock_guard<std::mutex> mux_lock(peer->mux_mu);
-        for (auto& [id, stream] : peer->streams) {
-          if (stream->is_member) {
-            continue;
-          }
-          for (const auto& ack : acks) {
-            if (stream->handshake.source_task == ack.source_task &&
-                stream->handshake.source_instance == ack.source_instance) {
-              batch.entries.push_back({id, ack.watermark});
-              break;
-            }
-          }
-        }
-      }
-      if (!batch.entries.empty()) {
-        (void)peer->conn->TrySendFrame(FrameType::kMuxAckBatch, 0,
-                                       batch.Encode());
-      }
-      continue;
-    }
-    for (size_t i = 0; i < acks.size(); ++i) {
-      if (peer->handshake.source_task == acks[i].source_task &&
-          peer->handshake.source_instance == acks[i].source_instance) {
-        (void)peer->conn->TrySend(frames[i]);
-        break;  // a channel carries exactly one source
+  AckStreams([&acks](const Handshake& hs) -> std::optional<uint64_t> {
+    for (const auto& ack : acks) {
+      if (hs.source_task == ack.source_task &&
+          hs.source_instance == ack.source_instance) {
+        return ack.watermark;
       }
     }
-  }
+    return std::nullopt;
+  });
 }
 
 bool ChannelServer::SendToMember(uint32_t member_id, FrameType type,
                                  const std::vector<uint8_t>& payload) {
-  BinaryWriter frame;
-  EncodeFrame(frame, type, payload.data(), payload.size());
-  const std::vector<uint8_t>& bytes = frame.buffer();
   std::lock_guard<std::mutex> lock(peers_mutex_);
   ReapBrokenPeersLocked();
   for (auto& peer : peers_) {
     if (peer->is_member && peer->member_id == member_id) {
-      return peer->conn->TrySend(bytes);
+      return peer->conn->TrySendFrame(type, 0, payload);
     }
   }
   return false;
@@ -953,13 +753,10 @@ void ChannelServer::Stop() {
   if (!running_.exchange(false)) {
     return;
   }
-  if (options_.mode == NetMode::kEventLoop && loop_ != nullptr) {
+  if (loop_ != nullptr) {
     loop_->Deregister(listener_.fd());  // waits out an in-flight accept burst
   }
   listener_.Close();
-  if (acceptor_.joinable()) {
-    acceptor_.join();
-  }
   std::vector<std::thread> setups;
   std::list<std::shared_ptr<Peer>> peers;
   {

@@ -1,29 +1,38 @@
-// ChannelServer: the receiver half of inter-node dataflow edges over TCP.
+// ChannelServer: the receiver half of inter-node dataflow edges over TCP,
+// and the one listening port of a node process.
 //
-// Listens on one port per node process. Each accepted connection performs the
-// synchronous handshake (the on_handshake callback validates the peer and
-// returns this node's durable watermark for that source), then streams kData
-// frames whose batches are handed to on_batch in wire order — typically
-// straight into Deployment::InjectRemote, which routes them through the same
-// batched dispatch as local traffic.
+// Each accepted connection's first frame selects its role:
+//   kMuxHello          a mux peer: one shared socket carrying many logical
+//                      data streams (kMuxOpen, then kData; see mux.h)
+//   kJoin              a member's control channel (elastic membership)
+//   kMigrateBegin      an inbound migration session (the socket is handed off)
+//   kRequest           a serve-path client
+//   kReplicaSubscribe  a replica-feed publisher
+// A data stream's open is validated by on_handshake, which returns this
+// node's durable watermark for that source; its batches are handed to
+// on_batch in wire order — typically straight into
+// Deployment::InjectRemote, which routes them through the same batched
+// dispatch as local traffic.
 //
-// Threading model (NetMode::kEventLoop, the default): the listening fd and
-// every peer socket live on one shared epoll loop; handshakes run on
-// short-lived setup threads (they block on the client, and the client side
-// may be an executor task — on a small pool, a handshake-as-task would be a
-// circular wait); and each peer owns a Schedulable dispatch entity — the
-// loop thread only enqueues raw frames, the executor decodes batches and
-// runs on_batch. When
-// a peer's frame backlog crosses a high watermark the server drops read
-// interest on that socket; the kernel receive buffer fills and TCP flow
-// control backpressures the sender — the wire-level equivalent of a full
-// mailbox. NetMode::kThreads keeps the original acceptor + setup-thread +
-// thread-per-connection design as a measured baseline.
+// Threading model: the listening fd and every peer socket live on one
+// shared epoll loop. First-frame setup and stream opens run on short-lived
+// setup threads (they block on the client, and the client side may be an
+// executor task — on a small pool, setup-as-a-task would be a circular
+// wait). Each data stream, client and feed peer owns a Schedulable dispatch
+// entity: the loop thread only enqueues raw frames, the executor decodes and
+// runs the handler. Member frames (control replies and strong-read
+// responses) are handled on the loop thread itself.
 //
-// Ack(watermark) broadcasts a kAck on every live connection after the node
-// has made the watermark durable (checkpoint persisted); senders trim their
-// upstream-backup logs on it. Acks are at-least-once: a lost ack is repaired
-// by the watermark carried in the next handshake.
+// Backpressure: a data stream's credit window bounds its backlog (streams
+// never pause the shared socket). When a client or feed peer's frame backlog
+// crosses a high watermark the server drops read interest on that socket;
+// the kernel receive buffer fills and TCP flow control backpressures the
+// sender — the wire-level equivalent of a full mailbox.
+//
+// Ack(watermark) / AckSources send each mux peer one coalesced kMuxAckBatch
+// after the node has made the watermarks durable (checkpoint persisted);
+// senders trim their upstream-backup logs on it. Acks are at-least-once: a
+// lost ack is repaired by the watermark carried in the next open-ack.
 #ifndef SDG_NET_CHANNEL_SERVER_H_
 #define SDG_NET_CHANNEL_SERVER_H_
 
@@ -36,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,35 +59,23 @@
 
 namespace sdg::net {
 
-enum class NetMode {
-  kEventLoop,  // shared epoll loop + executor dispatch (default)
-  kThreads,    // thread-per-connection baseline
-};
-
 struct ChannelServerOptions {
   uint16_t port = 0;  // 0 = ephemeral; see port()
-  size_t send_queue_frames = 16;
-  NetMode mode = NetMode::kEventLoop;
-  // Event-loop mode collaborators; nullptr = the process-wide shared ones.
+  // Collaborators; nullptr = the process-wide shared ones.
   runtime::Executor* executor = nullptr;
   EventLoop* loop = nullptr;
-  // Initial flow-control window (frames in flight) granted to each logical
-  // stream of a multiplexed peer. Bounds per-stream backlog on this side —
-  // mux streams never pause the shared socket's read interest, so the
-  // window is the only thing keeping a hot stream's frames from piling up.
-  uint32_t mux_stream_window = 64;
 };
 
 class ChannelServer : private EventLoop::Handler {
  public:
-  // Returns the durable watermark for the handshaking source (0 if never
-  // seen); an error Status rejects the connection with its message.
+  // Validates a data stream's open and returns the durable watermark for its
+  // source (0 if never seen); an error Status rejects the open with its
+  // message, which the dialer sees as kFailedPrecondition.
   using HandshakeFn = std::function<Result<uint64_t>(const Handshake& hs)>;
-  // One decoded batch, in wire order, from the connection identified by the
-  // handshake. Runs on the peer's executor entity (event-loop mode) or its
-  // reader thread (threaded mode); per-source FIFO order is preserved either
-  // way, and a slow on_batch backpressures that peer's wire without stalling
-  // others.
+  // One decoded batch, in wire order, from the stream identified by the
+  // handshake. Runs on the stream's executor entity; per-source FIFO order is
+  // preserved, and a slow on_batch backpressures that stream (its credit
+  // window runs dry) without stalling its siblings on the shared socket.
   using BatchFn =
       std::function<void(const Handshake& hs,
                          std::vector<runtime::DataItem> items)>;
@@ -85,8 +83,8 @@ class ChannelServer : private EventLoop::Handler {
   // registered under (an error rejects the join with its message). The
   // connection then stays open as that member's control channel.
   using JoinFn = std::function<Result<uint32_t>(const JoinMsg& join)>;
-  // A control/reply frame arriving on a member's channel. Runs on the IO
-  // thread (event loop or reader), so it must not block — record and notify.
+  // A control or kResponse frame arriving on a member's channel. Runs on the
+  // event-loop thread, so it must not block — record and notify.
   using MemberFrameFn = std::function<void(uint32_t member_id, Frame frame)>;
   // An inbound migration session (first frame kMigrateBegin). Takes ownership
   // of the socket plus the decoder carrying any bytes already read, and runs
@@ -101,8 +99,7 @@ class ChannelServer : private EventLoop::Handler {
   // one dispatch slice (up to 8, in wire order) in one call. A connection
   // whose first frame is kReplicaSubscribe becomes a replica-feed peer:
   // subsequent kReplicaEpoch frames are decoded the same way and handed to
-  // on_feed. Client/feed peers share the wire-backpressure dispatch with data
-  // peers.
+  // on_feed. Both dispatch with wire backpressure (read-interest pause).
   using RequestFn =
       std::function<void(uint64_t client_id, std::vector<RequestMsg> reqs)>;
   using FeedFn = std::function<void(const ReplicaSubscribeMsg& sub,
@@ -120,18 +117,18 @@ class ChannelServer : private EventLoop::Handler {
                JoinFn on_join = nullptr, MemberFrameFn on_member = nullptr,
                MigrationFn on_migration = nullptr);
 
-  // Broadcasts the durable watermark to every live sender.
+  // Broadcasts the durable watermark to every live data stream.
   void Ack(uint64_t watermark);
 
-  // Acks only the senders whose handshake matches (source_task,
-  // source_instance) — per-partition watermark spaces stay independent when
-  // each partition rides its own channel (or its own mux stream).
+  // Acks only the streams whose handshake matches (source_task,
+  // source_instance) — per-partition watermark spaces stay independent, one
+  // stream per partition.
   void AckSource(uint32_t source_task, uint32_t source_instance,
                  uint64_t watermark);
 
-  // Batch variant: one call per checkpoint instead of one per source. For a
-  // multiplexed peer every matching stream's watermark is coalesced into a
-  // single kMuxAckBatch frame; per-channel peers get individual kAcks.
+  // Batch variant: one call per checkpoint instead of one per source. Every
+  // matching stream of a peer has its watermark coalesced into one
+  // kMuxAckBatch frame.
   struct SourceAck {
     uint32_t source_task = 0;
     uint32_t source_instance = 0;
@@ -159,8 +156,8 @@ class ChannelServer : private EventLoop::Handler {
   // slow reader sheds its own responses; the client-side timeout retries.
   bool SendToClient(uint64_t client_id, ResponseBatch batch);
 
-  // Stops accepting, closes every connection, waits out in-flight handshakes
-  // and dispatch slices.
+  // Stops accepting, closes every connection, waits out in-flight setups,
+  // stream opens and dispatch slices.
   void Stop();
 
   uint16_t port() const { return port_; }
@@ -177,10 +174,10 @@ class ChannelServer : private EventLoop::Handler {
   class PeerDispatch : public runtime::Schedulable {
    public:
     // `wire_pause`: whether a deep backlog drops the socket's read interest.
-    // Off for mux streams — many streams share one socket, so one slow
+    // Off for data streams — many streams share one socket, so one slow
     // stream must not stop its siblings' reads; the per-stream credit
     // window bounds the backlog instead. `on_consumed` (may be null) runs
-    // after each slice with the number of frames it dispatched — the mux
+    // after each slice with the number of frames it dispatched — the
     // credit-grant hook.
     PeerDispatch(ChannelServer* server, Peer* peer,
                  runtime::Executor* executor, bool wire_pause = true,
@@ -219,13 +216,13 @@ class ChannelServer : private EventLoop::Handler {
   };
 
   struct Peer {
-    Handshake handshake;
-    std::unique_ptr<PeerDispatch> dispatch;  // event-loop mode only
+    Handshake handshake;  // data streams
+    std::unique_ptr<PeerDispatch> dispatch;
+    // The peer's socket; null for a data stream, which is framed through its
+    // mux parent's.
     std::unique_ptr<Connection> conn;
-    // Membership channel (kJoin) peers carry no data handshake; their frames
-    // route to on_member_ instead of the batch path. Also set on a mux reply
-    // stream (kind kMuxStreamReply) so its kResponse frames take the same
-    // route — off the member control connection, same handler.
+    // Membership channel (kJoin): its frames route to on_member_ from the
+    // loop thread, with no dispatch entity.
     bool is_member = false;
     uint32_t member_id = 0;
     // Serve-path roles (first frame kRequest / kReplicaSubscribe).
@@ -234,11 +231,11 @@ class ChannelServer : private EventLoop::Handler {
     bool is_feed = false;
     ReplicaSubscribeMsg subscribe;
     // Mux parent (first frame kMuxHello): one shared socket carrying many
-    // logical streams. Each stream is a child Peer (conn == nullptr, framed
-    // through the parent) with its own dispatch entity and credit window.
-    // kMuxOpen is handled on a short-lived dedicated thread — never the
-    // shared executor, whose workers may be the very tasks blocking on the
-    // open-ack; ClosePeer waits out in-flight handlers via the counter.
+    // logical data streams. Each stream is a child Peer (conn == nullptr,
+    // framed through the parent) with its own dispatch entity and credit
+    // window. kMuxOpen is handled on a short-lived dedicated thread — never
+    // the shared executor, whose workers may be the very tasks blocking on
+    // the open-ack; ClosePeer waits out in-flight handlers via the counter.
     bool is_mux = false;
     std::mutex mux_mu;  // guards streams/retired_streams/opens_inflight
     // The Connection constructor registers with the loop, so frames (and the
@@ -251,18 +248,16 @@ class ChannelServer : private EventLoop::Handler {
     // Superseded streams (a reopened channel identity): no longer routed to,
     // but kept alive until ClosePeer so in-flight dispatch slices stay safe.
     std::vector<std::shared_ptr<Peer>> retired_streams;
-    // Child-stream fields.
-    uint32_t mux_stream = 0;
-    uint32_t mux_consumed = 0;  // frames consumed since the last credit grant
+    // Child-stream field: frames consumed since the last credit grant.
+    uint32_t mux_consumed = 0;
   };
 
-  // Event-loop mode: listener readiness (accept until EAGAIN).
+  // Listener readiness (loop thread): accept until EAGAIN.
   void OnReadable() override;
 
-  void AcceptLoop();  // threaded mode
-  // Performs the handshake on a fresh socket and installs the peer; runs on
-  // a short-lived setup thread so a slow client cannot stall the acceptor
-  // (or, event-loop mode, the loop).
+  // Reads the first frame of a fresh socket and installs the peer its type
+  // selects; runs on a short-lived setup thread so a slow client cannot
+  // stall the loop.
   void SetupPeer(Socket socket);
   // Closes the connection, then drains the dispatch entity. Safe with or
   // without peers_mutex_ held (touches only the peer).
@@ -274,20 +269,24 @@ class ChannelServer : private EventLoop::Handler {
   // Runs the hello exchange and installs a mux parent peer (setup thread).
   void SetupMuxPeer(Socket socket, FrameDecoder carry, const Frame& first);
   // Loop thread: routes one frame of a mux connection to its stream's
-  // dispatch entity (kMuxOpen goes to the parent's control entity).
+  // dispatch entity.
   void RouteMuxFrame(Peer& peer, Frame frame);
-  // Control entity (executor): validates a stream open, installs the child
-  // stream Peer, replies with the open-ack carrying watermark + window.
+  // Open thread: validates a stream open, installs the child stream Peer,
+  // replies with the open-ack carrying watermark + window.
   void HandleMuxOpen(Peer& peer, const Frame& frame);
   // Installs a client or replica-feed peer; runs on the setup thread. The
   // first frame is re-dispatched through the peer's normal frame path so it
   // keeps wire order with whatever the carry decoder already buffered.
   void SetupServePeer(Socket socket, FrameDecoder carry, Frame first);
-  // Decodes and routes one dispatch slice of frames for any peer kind
-  // (dispatch entity in event-loop mode; the single-frame form is the
-  // threaded-mode reader's).
+  // Decodes and routes one dispatch slice of frames for a data stream,
+  // client or feed peer (its dispatch entity).
   void DispatchPeerFrames(Peer& peer, std::vector<Frame> frames);
-  void DispatchPeerFrame(Peer& peer, Frame frame);
+  // Sends every mux peer one kMuxAckBatch holding, for each of its streams,
+  // the watermark `watermark_of` returns (streams it returns nullopt for are
+  // skipped).
+  void AckStreams(
+      const std::function<std::optional<uint64_t>(const Handshake&)>&
+          watermark_of);
 
   const ChannelServerOptions options_;
   HandshakeFn on_handshake_;
@@ -300,7 +299,6 @@ class ChannelServer : private EventLoop::Handler {
 
   Listener listener_;
   uint16_t port_ = 0;
-  std::thread acceptor_;
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> accepted_{0};
 

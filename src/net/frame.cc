@@ -23,33 +23,19 @@ Status RequireAtEnd(const BinaryReader& r, const char* what) {
 
 void EncodeFrame(BinaryWriter& w, FrameType type, const uint8_t* payload,
                  size_t size) {
-  w.Write<uint32_t>(kFrameMagic);
-  w.Write<uint8_t>(static_cast<uint8_t>(type));
-  w.Write<uint32_t>(static_cast<uint32_t>(size));
+  uint8_t header[kFrameHeaderBytes];
+  EncodeFrameHeader(header, type, /*stream=*/0, size);
+  w.WriteBytes(header, sizeof(header));
   w.WriteBytes(payload, size);
 }
 
-void EncodeMuxFrame(BinaryWriter& w, FrameType type, uint32_t stream,
-                    const uint8_t* payload, size_t size) {
-  w.Write<uint32_t>(kFrameMagic);
-  w.Write<uint8_t>(static_cast<uint8_t>(type));
-  w.Write<uint32_t>(stream);
-  w.Write<uint32_t>(static_cast<uint32_t>(size));
-  w.WriteBytes(payload, size);
-}
-
-size_t EncodeFrameHeader(uint8_t* out, FrameType type, uint32_t stream,
-                         size_t payload_size, bool mux) {
+void EncodeFrameHeader(uint8_t* out, FrameType type, uint32_t stream,
+                       size_t payload_size) {
   const uint32_t length = static_cast<uint32_t>(payload_size);
   std::memcpy(out, &kFrameMagic, 4);
   out[4] = static_cast<uint8_t>(type);
-  if (mux) {
-    std::memcpy(out + 5, &stream, 4);
-    std::memcpy(out + 9, &length, 4);
-    return kMuxFrameHeaderBytes;
-  }
-  std::memcpy(out + 5, &length, 4);
-  return kFrameHeaderBytes;
+  std::memcpy(out + 5, &stream, 4);
+  std::memcpy(out + 9, &length, 4);
 }
 
 void FrameDecoder::Feed(const uint8_t* data, size_t size) {
@@ -67,9 +53,8 @@ Result<bool> FrameDecoder::Next(Frame* out) {
   if (!poisoned_.ok()) {
     return poisoned_;
   }
-  const size_t header_bytes = mux_ ? kMuxFrameHeaderBytes : kFrameHeaderBytes;
   const size_t avail = buffer_.size() - consumed_;
-  if (avail < header_bytes) {
+  if (avail < kFrameHeaderBytes) {
     return false;
   }
   const uint8_t* p = buffer_.data() + consumed_;
@@ -80,77 +65,27 @@ Result<bool> FrameDecoder::Next(Frame* out) {
     return poisoned_;
   }
   const uint8_t type = p[4];
-  uint32_t stream = 0;
+  uint32_t stream;
   uint32_t length;
-  if (mux_) {
-    std::memcpy(&stream, p + 5, sizeof(stream));
-    std::memcpy(&length, p + 9, sizeof(length));
-  } else {
-    std::memcpy(&length, p + 5, sizeof(length));
-  }
+  std::memcpy(&stream, p + 5, sizeof(stream));
+  std::memcpy(&length, p + 9, sizeof(length));
   if (length > kMaxFramePayload) {
     poisoned_ = FrameError("frame payload length " + std::to_string(length) +
                            " exceeds limit");
     return poisoned_;
   }
-  if (type < static_cast<uint8_t>(FrameType::kHandshake) ||
-      type > kMaxFrameType) {
+  if (type < static_cast<uint8_t>(FrameType::kData) || type > kMaxFrameType) {
     poisoned_ = FrameError("unknown frame type " + std::to_string(type));
     return poisoned_;
   }
-  if (avail < header_bytes + length) {
+  if (avail < kFrameHeaderBytes + length) {
     return false;  // payload still in flight
   }
   out->type = static_cast<FrameType>(type);
   out->stream = stream;
-  out->payload.assign(p + header_bytes, p + header_bytes + length);
-  consumed_ += header_bytes + length;
+  out->payload.assign(p + kFrameHeaderBytes, p + kFrameHeaderBytes + length);
+  consumed_ += kFrameHeaderBytes + length;
   return true;
-}
-
-// --- Handshake ----------------------------------------------------------------
-
-std::vector<uint8_t> Handshake::Encode() const {
-  BinaryWriter w;
-  w.Write<uint32_t>(protocol);
-  w.Write<uint64_t>(deployment_id);
-  w.Write<uint32_t>(source_task);
-  w.Write<uint32_t>(source_instance);
-  w.WriteString(entry);
-  w.Write<uint64_t>(emit_clock);
-  return std::move(w).TakeBuffer();
-}
-
-Result<Handshake> Handshake::Decode(const std::vector<uint8_t>& payload) {
-  BinaryReader r(payload);
-  Handshake h;
-  SDG_ASSIGN_OR_RETURN(h.protocol, r.Read<uint32_t>());
-  SDG_ASSIGN_OR_RETURN(h.deployment_id, r.Read<uint64_t>());
-  SDG_ASSIGN_OR_RETURN(h.source_task, r.Read<uint32_t>());
-  SDG_ASSIGN_OR_RETURN(h.source_instance, r.Read<uint32_t>());
-  SDG_ASSIGN_OR_RETURN(h.entry, r.ReadString());
-  SDG_ASSIGN_OR_RETURN(h.emit_clock, r.Read<uint64_t>());
-  SDG_RETURN_IF_ERROR(RequireAtEnd(r, "handshake"));
-  return h;
-}
-
-std::vector<uint8_t> HandshakeAck::Encode() const {
-  BinaryWriter w;
-  w.Write<uint8_t>(accepted ? 1 : 0);
-  w.Write<uint64_t>(acked_ts);
-  w.WriteString(message);
-  return std::move(w).TakeBuffer();
-}
-
-Result<HandshakeAck> HandshakeAck::Decode(const std::vector<uint8_t>& payload) {
-  BinaryReader r(payload);
-  HandshakeAck a;
-  SDG_ASSIGN_OR_RETURN(uint8_t accepted, r.Read<uint8_t>());
-  a.accepted = accepted != 0;
-  SDG_ASSIGN_OR_RETURN(a.acked_ts, r.Read<uint64_t>());
-  SDG_ASSIGN_OR_RETURN(a.message, r.ReadString());
-  SDG_RETURN_IF_ERROR(RequireAtEnd(r, "handshake-ack"));
-  return a;
 }
 
 // --- DataBatch ----------------------------------------------------------------
@@ -175,22 +110,6 @@ Result<DataBatch> DataBatch::Decode(const std::vector<uint8_t>& payload) {
   }
   SDG_RETURN_IF_ERROR(RequireAtEnd(r, "data batch"));
   return b;
-}
-
-// --- AckMsg -------------------------------------------------------------------
-
-std::vector<uint8_t> AckMsg::Encode() const {
-  BinaryWriter w;
-  w.Write<uint64_t>(acked_ts);
-  return std::move(w).TakeBuffer();
-}
-
-Result<AckMsg> AckMsg::Decode(const std::vector<uint8_t>& payload) {
-  BinaryReader r(payload);
-  AckMsg a;
-  SDG_ASSIGN_OR_RETURN(a.acked_ts, r.Read<uint64_t>());
-  SDG_RETURN_IF_ERROR(RequireAtEnd(r, "ack"));
-  return a;
 }
 
 // --- JoinMsg ------------------------------------------------------------------
@@ -400,8 +319,7 @@ void ResponseBatch::Add(const ResponseMsg& msg) {
   // Header and payload go straight into the batch buffer: no per-response
   // payload vector, no frame copy.
   uint8_t header[kFrameHeaderBytes];
-  EncodeFrameHeader(header, FrameType::kResponse, 0, msg.EncodedSize(),
-                    /*mux=*/false);
+  EncodeFrameHeader(header, FrameType::kResponse, 0, msg.EncodedSize());
   bytes_.WriteBytes(header, sizeof(header));
   msg.EncodeTo(bytes_);
   ++count_;
@@ -515,9 +433,7 @@ Result<MuxHelloAckMsg> MuxHelloAckMsg::Decode(
 
 std::vector<uint8_t> MuxOpenMsg::Encode() const {
   BinaryWriter w;
-  w.Write<uint8_t>(kind);
   w.Write<uint64_t>(deployment_id);
-  w.Write<uint32_t>(member_id);
   w.Write<uint32_t>(source_task);
   w.Write<uint32_t>(source_instance);
   w.WriteString(entry);
@@ -528,9 +444,7 @@ std::vector<uint8_t> MuxOpenMsg::Encode() const {
 Result<MuxOpenMsg> MuxOpenMsg::Decode(const std::vector<uint8_t>& payload) {
   BinaryReader r(payload);
   MuxOpenMsg m;
-  SDG_ASSIGN_OR_RETURN(m.kind, r.Read<uint8_t>());
   SDG_ASSIGN_OR_RETURN(m.deployment_id, r.Read<uint64_t>());
-  SDG_ASSIGN_OR_RETURN(m.member_id, r.Read<uint32_t>());
   SDG_ASSIGN_OR_RETURN(m.source_task, r.Read<uint32_t>());
   SDG_ASSIGN_OR_RETURN(m.source_instance, r.Read<uint32_t>());
   SDG_ASSIGN_OR_RETURN(m.entry, r.ReadString());

@@ -1,16 +1,17 @@
 // Length-prefixed frame codec for the inter-node TCP transport.
 //
-// Every message on a node-to-node connection is one frame:
+// Every message on every connection is one frame with one header layout:
 //
 //   magic   u32  (kFrameMagic, rejects desynchronised/garbage streams)
 //   type    u8   (FrameType)
+//   stream  u32  (logical stream of a multiplexed connection; 0 elsewhere)
 //   length  u32  (payload bytes; bounded by kMaxFramePayload)
 //   payload length bytes
 //
 // Frames reuse the BinaryWriter/BinaryReader encoding of src/common, so a
 // DataItem crossing a real socket is byte-identical to one crossing the
 // simulated node boundary. Encoding writes into a caller-owned BinaryWriter
-// (the PR-1 thread-local scratch-reuse scheme); decoding is incremental —
+// (so hot paths can reuse a thread-local scratch); decoding is incremental —
 // FrameDecoder::Feed accepts arbitrary read() slices and surfaces complete
 // frames one at a time, returning Status (never crashing) on corrupt input.
 #ifndef SDG_NET_FRAME_H_
@@ -27,62 +28,53 @@
 
 namespace sdg::net {
 
-inline constexpr uint32_t kFrameMagic = 0x53444746;  // "SDGF"
+// "SDG2": the generation with one 13-byte header on every connection. A
+// binary from the two-header generation ("SDGF") fails on its first frame
+// instead of desyncing.
+inline constexpr uint32_t kFrameMagic = 0x53444732;
 inline constexpr uint32_t kProtocolVersion = 1;
-// Protocol generation that understands multiplexed framing (kMuxHello and
-// the stream-id header below). Carried in MuxHelloMsg so a mux-capable
-// dialer and an old receiver fail the hello cleanly instead of desyncing;
-// v1 per-channel framing stays accepted everywhere.
-inline constexpr uint32_t kProtocolVersionMux = 2;
 // A frame carries at most one delivery batch; 64 MiB bounds decoder memory
 // against corrupt or hostile length fields.
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;
-inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 4;
-// Mux framing widens the header with a stream id between type and length:
-//   magic u32 | type u8 | stream u32 | length u32
-// Both sides switch to it after the kMuxHello/kMuxHelloAck exchange (which
-// itself rides v1 framing), so a connection is either all-v1 or all-mux.
-inline constexpr size_t kMuxFrameHeaderBytes = 4 + 1 + 4 + 4;
+inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 4 + 4;
 
 enum class FrameType : uint8_t {
-  kHandshake = 1,     // sender -> receiver, once per connection
-  kHandshakeAck = 2,  // receiver -> sender, carries the acked watermark
-  kData = 3,          // batch of DataItems for the handshaken entry
-  kAck = 4,           // receiver -> sender: durable watermark advanced
+  kData = 1,  // batch of DataItems on a mux data stream
   // Membership (elastic scale-out): a fresh worker process registers with a
   // running deployment's head; the connection then stays open as the
-  // member's control channel (kControl both ways).
-  kJoin = 5,      // worker -> head, once per connection
-  kJoinAck = 6,   // head -> worker
+  // member's control channel (kControl both ways, kResponse worker -> head).
+  kJoin = 2,     // worker -> head, once per connection
+  kJoinAck = 3,  // head -> worker
   // Live state-partition migration, its own connection to the target's
   // ChannelServer: Begin opens the session, Chunk streams base/delta chunk
   // segments, Commit is the cutover barrier carrying the watermark handoff,
   // Ack confirms each applied phase.
-  kMigrateBegin = 7,
-  kMigrateChunk = 8,
-  kMigrateCommit = 9,
-  kMigrateAck = 10,
-  kControl = 11,  // head <-> member commands/replies on the join connection
+  kMigrateBegin = 4,
+  kMigrateChunk = 5,
+  kMigrateCommit = 6,
+  kMigrateAck = 7,
+  kControl = 8,  // head <-> member commands/replies on the join connection
   // Serve path (client-facing front door): a client's first frame is a
   // kRequest — no handshake — and the connection then carries pipelined
-  // requests and (out-of-order) responses keyed by request id.
-  kRequest = 12,   // client -> gateway
-  kResponse = 13,  // gateway -> client
+  // requests and (out-of-order) responses keyed by request id. Workers
+  // forward strong-read results to the head as kResponse frames on their
+  // membership control channel.
+  kRequest = 9,    // client -> gateway
+  kResponse = 10,  // gateway -> client, worker -> head
   // Replica feed: a worker's first frame on a second connection to the head
   // subscribes it as a partial-state publisher; kReplicaEpoch frames then
   // stream checkpoint-epoch base/delta chunk blobs to the gateway's read
   // replicas (§3.2 partial state as the read-scaling path).
-  kReplicaSubscribe = 14,  // worker -> gateway, once per connection
-  kReplicaEpoch = 15,      // worker -> gateway: epoch announce/base/delta
+  kReplicaSubscribe = 11,  // worker -> gateway, once per connection
+  kReplicaEpoch = 12,      // worker -> gateway: epoch announce/base/delta
   // Multiplexed transport (one TCP socket per peer pair, many logical
-  // streams). The hello pair negotiates the switch to mux framing; every
-  // frame after it carries a stream id in the widened header.
-  kMuxHello = 16,     // dialer -> server, first frame, v1 framing
-  kMuxHelloAck = 17,  // server -> dialer, v1 framing; mux framing follows
-  kMuxOpen = 18,      // dialer -> server: open one logical stream
-  kMuxOpenAck = 19,   // server -> dialer: per-stream watermark + send window
-  kMuxWindow = 20,    // server -> dialer: flow-control credit grant
-  kMuxAckBatch = 21,  // server -> dialer: coalesced per-stream watermarks
+  // streams). kMuxHello is the first frame that marks a mux peer.
+  kMuxHello = 13,     // dialer -> server, first frame
+  kMuxHelloAck = 14,  // server -> dialer
+  kMuxOpen = 15,      // dialer -> server: open one logical stream
+  kMuxOpenAck = 16,   // server -> dialer: per-stream watermark + send window
+  kMuxWindow = 17,    // server -> dialer: flow-control credit grant
+  kMuxAckBatch = 18,  // server -> dialer: coalesced per-stream watermarks
 };
 // Highest type value FrameDecoder accepts; bump when appending frame types.
 inline constexpr uint8_t kMaxFrameType =
@@ -90,24 +82,21 @@ inline constexpr uint8_t kMaxFrameType =
 
 struct Frame {
   FrameType type = FrameType::kData;
-  // Logical stream the frame belongs to (mux framing only; 0 on v1 frames).
+  // Logical stream the frame belongs to (0 on connections that are not
+  // multiplexed).
   uint32_t stream = 0;
   std::vector<uint8_t> payload;
 };
 
-// Appends one whole frame (header + payload) to `w`.
+// Appends one whole frame (header + payload, stream 0) to `w`.
 void EncodeFrame(BinaryWriter& w, FrameType type, const uint8_t* payload,
                  size_t size);
 
-// Mux-framing variant: header carries the stream id.
-void EncodeMuxFrame(BinaryWriter& w, FrameType type, uint32_t stream,
-                    const uint8_t* payload, size_t size);
-
-// Writes only the header into `out` (used by the scatter-gather send path,
-// which stages header and payload as separate iovec segments). Returns the
-// header length: kFrameHeaderBytes or kMuxFrameHeaderBytes.
-size_t EncodeFrameHeader(uint8_t* out, FrameType type, uint32_t stream,
-                         size_t payload_size, bool mux);
+// Writes only the kFrameHeaderBytes header into `out` (used by the
+// scatter-gather send path, which stages header and payload as separate
+// iovec segments).
+void EncodeFrameHeader(uint8_t* out, FrameType type, uint32_t stream,
+                       size_t payload_size);
 
 // Incremental decoder. Feed() buffers raw bytes; Next() pops the next
 // complete frame. A magic/length violation poisons the decoder (the stream
@@ -122,18 +111,11 @@ class FrameDecoder {
   // Error -> kDataLoss: bad magic, oversized length, or unknown type.
   Result<bool> Next(Frame* out);
 
-  // Switches to mux framing (13-byte headers with a stream id) for every
-  // frame not yet parsed. Called right after the hello exchange; bytes
-  // already buffered past the hello-ack are mux-framed and parse correctly.
-  void EnableMux() { mux_ = true; }
-  bool mux() const { return mux_; }
-
   size_t buffered_bytes() const { return buffer_.size() - consumed_; }
 
  private:
   std::vector<uint8_t> buffer_;
   size_t consumed_ = 0;
-  bool mux_ = false;
   Status poisoned_;
 };
 
@@ -142,32 +124,18 @@ class FrameDecoder {
 // Each message (de)serialises through BinaryWriter/BinaryReader; Decode
 // rejects truncated or trailing bytes with a Status.
 
-// Opens a channel: which deployment the sender belongs to, which TE instance
-// is talking (the remote SourceId downstream dedup keys on), which entry TE
-// of the receiving deployment the items are for, and the sender's emit-clock
-// position (diagnostics: the receiver can bound the replay window).
+// Identity of one data channel, as the receiver's HandshakeFn and BatchFn
+// see it: which deployment the sender belongs to, which TE instance is
+// talking (the remote SourceId downstream dedup keys on), which entry TE of
+// the receiving deployment the items are for, and the sender's emit-clock
+// position (diagnostics: the receiver can bound the replay window). It
+// travels as the fields of the stream's MuxOpenMsg.
 struct Handshake {
-  uint32_t protocol = kProtocolVersion;
   uint64_t deployment_id = 0;
   uint32_t source_task = 0;
   uint32_t source_instance = 0;
   std::string entry;
   uint64_t emit_clock = 0;
-
-  std::vector<uint8_t> Encode() const;
-  static Result<Handshake> Decode(const std::vector<uint8_t>& payload);
-};
-
-// Handshake reply. `acked_ts` is the receiver's durable watermark for this
-// source: the sender replays every logged entry past it (§5 as the
-// transport's reconnect path).
-struct HandshakeAck {
-  bool accepted = false;
-  uint64_t acked_ts = 0;
-  std::string message;  // reject reason
-
-  std::vector<uint8_t> Encode() const;
-  static Result<HandshakeAck> Decode(const std::vector<uint8_t>& payload);
 };
 
 // Batch of data items, in sender FIFO order.
@@ -180,21 +148,13 @@ struct DataBatch {
   static Result<DataBatch> Decode(const std::vector<uint8_t>& payload);
 };
 
-// Advances the sender's trim watermark for this connection's source.
-struct AckMsg {
-  uint64_t acked_ts = 0;
-
-  std::vector<uint8_t> Encode() const;
-  static Result<AckMsg> Decode(const std::vector<uint8_t>& payload);
-};
-
 // --- Membership / migration messages ------------------------------------------
 
 // Registers a worker process with a running deployment's head. `member_id`
 // is stable across restarts (it names the worker's backup-store directory);
 // a rejoin with a known id replaces the previous incarnation. `data_port` is
-// the joiner's own ChannelServer, where data channels and migration sessions
-// are dialled.
+// the joiner's own ChannelServer, where the head's mux connection and
+// migration sessions are dialled.
 struct JoinMsg {
   uint32_t protocol = kProtocolVersion;
   uint64_t deployment_id = 0;
@@ -249,7 +209,7 @@ struct MigrateChunkMsg {
 // serve this partition again. `watermarks` carries, per remote source
 // instance feeding this partition (one per head-side entry channel), the
 // highest timestamp reflected in the migrated state — the receiving worker
-// reports these on the next data handshakes so the head's output buffers
+// reports these in the next stream open-acks so the head's output buffers
 // replay exactly the entries past them (the watermark handoff).
 struct SourceWatermark {
   uint32_t source_instance = 0;
@@ -386,21 +346,19 @@ struct ReplicaEpochMsg {
 
 // --- Mux messages -------------------------------------------------------------
 
-// First frame of a multiplexed connection (v1 framing). The protocol field
-// lets a future generation renegotiate; a server that predates mux poisons
-// its decoder on the unknown type and the dialer falls back to per-channel
-// connections.
+// First frame of a multiplexed connection: marks the peer as mux. The
+// protocol field lets a future generation renegotiate.
 struct MuxHelloMsg {
-  uint32_t protocol = kProtocolVersionMux;
+  uint32_t protocol = kProtocolVersion;
   uint64_t deployment_id = 0;
 
   std::vector<uint8_t> Encode() const;
   static Result<MuxHelloMsg> Decode(const std::vector<uint8_t>& payload);
 };
 
-// Reply, still v1-framed; both sides switch to mux framing after it.
-// `window` is the initial per-stream send window (frames the dialer may have
-// in flight on one stream before credits are granted back).
+// Reply to the hello. `window` is the initial per-stream send window (frames
+// the dialer may have in flight on one stream before credits are granted
+// back).
 struct MuxHelloAckMsg {
   bool accepted = false;
   uint32_t window = 0;
@@ -410,21 +368,12 @@ struct MuxHelloAckMsg {
   static Result<MuxHelloAckMsg> Decode(const std::vector<uint8_t>& payload);
 };
 
-// Logical stream kinds. A data stream is one (entry, partition) channel: the
-// embedded handshake fields mean exactly what Handshake means on a dedicated
-// connection, and kData frames flow dialer -> server. A reply stream carries
-// kResponse frames (strong-read results) worker -> head, off the membership
-// control channel.
-inline constexpr uint8_t kMuxStreamData = 1;
-inline constexpr uint8_t kMuxStreamReply = 2;
-
-// Opens one stream. Sent on the stream's own id so the server can reply on
-// it; the dialer sends no data frames until the ack arrives.
+// Opens one data stream: one (entry, partition) channel, whose fields are
+// the Handshake the receiver sees; kData frames then flow dialer -> server.
+// Sent on the stream's own id so the server can reply on it; the dialer
+// sends no data frames until the ack arrives.
 struct MuxOpenMsg {
-  uint8_t kind = kMuxStreamData;
   uint64_t deployment_id = 0;
-  uint32_t member_id = 0;  // reply streams: who is answering
-  // Data streams: the channel identity (see Handshake).
   uint32_t source_task = 0;
   uint32_t source_instance = 0;
   std::string entry;
@@ -435,8 +384,9 @@ struct MuxOpenMsg {
 };
 
 // Per-stream open reply: the receiver's durable watermark for the stream's
-// source (the dialer replays its log past it, exactly the HandshakeAck
-// contract) and the stream's initial send window in frames.
+// source (the dialer replays every logged entry past it — §5 as the
+// transport's reconnect path) and the stream's initial send window in
+// frames. A rejected open carries the HandshakeFn's reason.
 struct MuxOpenAckMsg {
   bool accepted = false;
   uint64_t acked_ts = 0;
@@ -459,8 +409,8 @@ struct MuxWindowMsg {
 };
 
 // Coalesced cumulative acks: one frame carries the durable watermark of
-// every stream a checkpoint covered, instead of one kAck frame per
-// (entry, partition) channel.
+// every stream a checkpoint covered; the dialer trims each stream's
+// upstream-backup log to its entry.
 struct MuxAckBatchMsg {
   struct Entry {
     uint32_t stream = 0;

@@ -5,19 +5,21 @@
 
 namespace sdg::net {
 
+namespace {
+// Blocking-read bound on the hello exchange.
+constexpr int kHelloTimeoutMs = 5000;
+// Bound on the wait for a stream's open-ack.
+constexpr auto kOpenTimeout = std::chrono::seconds(10);
+}  // namespace
+
 Result<std::shared_ptr<MuxConnection>> MuxConnection::Dial(
     const std::string& host, uint16_t port, Options options) {
-  if (options.loop == nullptr) {
-    return InvalidArgumentError("mux requires an event loop");
-  }
   SDG_ASSIGN_OR_RETURN(Socket sock, Socket::Connect(host, port));
-  sock.SetRecvTimeout(options.hello_timeout_ms);
+  sock.SetRecvTimeout(kHelloTimeoutMs);
   MuxHelloMsg hello;
   hello.deployment_id = options.deployment_id;
   SDG_RETURN_IF_ERROR(
       WriteFrameBlocking(sock, FrameType::kMuxHello, hello.Encode()));
-  // A v1-only receiver poisons its decoder on the unknown type and drops the
-  // socket — the read fails and the caller falls back to per-channel mode.
   FrameDecoder carry;
   SDG_ASSIGN_OR_RETURN(Frame reply, ReadFrameBlocking(sock, carry));
   if (reply.type != FrameType::kMuxHelloAck) {
@@ -29,12 +31,10 @@ Result<std::shared_ptr<MuxConnection>> MuxConnection::Dial(
   }
   sock.SetRecvTimeout(0);
 
-  auto mux = std::shared_ptr<MuxConnection>(
-      new MuxConnection(options, ack.window));
+  auto mux = std::shared_ptr<MuxConnection>(new MuxConnection(ack.window));
   Connection::Options copts;
   copts.loop = options.loop;
-  copts.mux_frames = true;
-  copts.send_queue_frames = options.send_queue_frames;
+  copts.send_queue_frames = kMuxSendQueueFrames;
   std::weak_ptr<MuxConnection> weak = mux;
   mux->conn_ = std::make_unique<Connection>(
       std::move(sock), copts,
@@ -66,8 +66,7 @@ void MuxConnection::Close() {
 }
 
 Result<std::shared_ptr<MuxStream>> MuxConnection::OpenStream(
-    const MuxOpenMsg& open, Connection::FrameFn on_frame,
-    Connection::ErrorFn on_error) {
+    const MuxOpenMsg& open, AckFn on_ack, Connection::ErrorFn on_error) {
   if (broken_.load(std::memory_order_acquire)) {
     return UnavailableError("mux connection is broken");
   }
@@ -76,24 +75,27 @@ Result<std::shared_ptr<MuxStream>> MuxConnection::OpenStream(
     std::lock_guard<std::mutex> lock(mu_);
     uint32_t id = next_stream_++;
     stream = std::shared_ptr<MuxStream>(new MuxStream(
-        shared_from_this(), id, std::move(on_frame), std::move(on_error)));
+        shared_from_this(), id, std::move(on_ack), std::move(on_error)));
     streams_[id] = stream;
   }
-  if (!conn_->SendFrame(FrameType::kMuxOpen, stream->id(), open.Encode())) {
+  auto forget = [&] {
     std::lock_guard<std::mutex> lock(mu_);
     streams_.erase(stream->id());
+  };
+  if (!conn_->SendFrame(FrameType::kMuxOpen, stream->id(), open.Encode())) {
+    forget();
     return UnavailableError("mux open: connection broke before send");
   }
   MuxOpenAckMsg ack;
-  if (!stream->AwaitOpen(options_.open_timeout_ms, &ack)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    streams_.erase(stream->id());
+  if (!stream->AwaitOpen(&ack)) {
+    forget();
     return UnavailableError("mux open: no ack (timeout or broken link)");
   }
   if (!ack.accepted) {
-    std::lock_guard<std::mutex> lock(mu_);
-    streams_.erase(stream->id());
-    return UnavailableError("mux open rejected: " + ack.message);
+    forget();
+    // The receiver judged the channel identity itself (HandshakeFn): a
+    // redial would be refused the same way.
+    return FailedPreconditionError("mux open rejected: " + ack.message);
   }
   stream->acked_ts_ = ack.acked_ts;
   stream->GrantCredits(ack.window == 0 ? default_window_ : ack.window);
@@ -113,41 +115,32 @@ std::shared_ptr<MuxStream> MuxConnection::FindStream(uint32_t stream_id) {
   return stream;
 }
 
+// Routes one server->dialer frame. Frames for an abandoned or never-opened
+// stream are dropped.
 void MuxConnection::OnFrame(Frame frame) {
-  if (frame.type == FrameType::kMuxAckBatch) {
-    auto batch = MuxAckBatchMsg::Decode(frame.payload);
-    if (!batch.ok()) {
-      conn_->Abort(batch.status());
+  switch (frame.type) {
+    case FrameType::kMuxAckBatch: {
+      auto batch = MuxAckBatchMsg::Decode(frame.payload);
+      if (!batch.ok()) {
+        conn_->Abort(batch.status());
+        return;
+      }
+      for (const auto& entry : batch->entries) {
+        if (auto stream = FindStream(entry.stream)) {
+          stream->OnAck(entry.acked_ts);
+        }
+      }
       return;
     }
-    // Synthesize the per-stream kAck each consumer already understands.
-    for (const auto& entry : batch->entries) {
-      AckMsg ack;
-      ack.acked_ts = entry.acked_ts;
-      Frame synth;
-      synth.type = FrameType::kAck;
-      synth.stream = entry.stream;
-      synth.payload = ack.Encode();
-      Deliver(entry.stream, std::move(synth));
-    }
-    return;
-  }
-  Deliver(frame.stream, std::move(frame));
-}
-
-void MuxConnection::Deliver(uint32_t stream_id, Frame frame) {
-  auto stream = FindStream(stream_id);
-  if (!stream) {
-    return;  // stream abandoned or never opened; drop
-  }
-  switch (frame.type) {
     case FrameType::kMuxOpenAck: {
       auto ack = MuxOpenAckMsg::Decode(frame.payload);
       if (!ack.ok()) {
         conn_->Abort(ack.status());
         return;
       }
-      stream->CompleteOpen(*ack);
+      if (auto stream = FindStream(frame.stream)) {
+        stream->CompleteOpen(*ack);
+      }
       return;
     }
     case FrameType::kMuxWindow: {
@@ -156,12 +149,13 @@ void MuxConnection::Deliver(uint32_t stream_id, Frame frame) {
         conn_->Abort(grant.status());
         return;
       }
-      stream->GrantCredits(grant->credits);
+      if (auto stream = FindStream(frame.stream)) {
+        stream->GrantCredits(grant->credits);
+      }
       return;
     }
     default:
-      stream->OnFrame(std::move(frame));
-      return;
+      return;  // no other frame flows server -> dialer
   }
 }
 
@@ -200,17 +194,6 @@ bool MuxStream::Send(FrameType type, std::vector<uint8_t> payload) {
   return conn_->conn_->SendFrame(type, id_, std::move(payload));
 }
 
-bool MuxStream::TrySend(FrameType type, const std::vector<uint8_t>& payload) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (broken_.load(std::memory_order_acquire) || credits_ == 0) {
-      return false;
-    }
-    --credits_;
-  }
-  return conn_->conn_->TrySendFrame(type, id_, payload);
-}
-
 bool MuxStream::broken() const {
   return broken_.load(std::memory_order_acquire) || conn_->broken();
 }
@@ -232,9 +215,10 @@ void MuxStream::GrantCredits(uint32_t credits) {
   cv_.notify_all();
 }
 
-void MuxStream::OnFrame(Frame frame) {
-  if (on_frame_) {
-    on_frame_(std::move(frame));
+void MuxStream::OnAck(uint64_t acked_ts) {
+  std::lock_guard<std::mutex> lock(callback_mu_);
+  if (on_ack_) {
+    on_ack_(acked_ts);
   }
 }
 
@@ -247,14 +231,23 @@ void MuxStream::FailStream(const Status& status) {
     error_fired_ = true;
   }
   cv_.notify_all();
-  if (fire && on_error_) {
-    on_error_(status);
+  if (fire) {
+    std::lock_guard<std::mutex> lock(callback_mu_);
+    if (on_error_) {
+      on_error_(status);
+    }
   }
 }
 
-bool MuxStream::AwaitOpen(int timeout_ms, MuxOpenAckMsg* out) {
+void MuxStream::Detach() {
+  std::lock_guard<std::mutex> lock(callback_mu_);
+  on_ack_ = nullptr;
+  on_error_ = nullptr;
+}
+
+bool MuxStream::AwaitOpen(MuxOpenAckMsg* out) {
   std::unique_lock<std::mutex> lock(mu_);
-  bool done = cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
+  bool done = cv_.wait_for(lock, kOpenTimeout, [&] {
     return open_done_ || broken_.load(std::memory_order_acquire);
   });
   if (!done || !open_done_) {

@@ -1,28 +1,24 @@
 // Client side of the multiplexed transport: one TCP socket per peer pair,
-// many logical streams.
+// many logical streams. It is the only data-channel transport.
 //
 // A MuxConnection is dialled once per (host, port) peer and carries every
-// logical channel to that peer over a single Connection in mux framing
-// (13-byte headers with a stream id — see frame.h). The kMuxHello /
-// kMuxHelloAck exchange rides v1 framing, so a pre-mux receiver fails the
-// dial cleanly (it poisons on the unknown frame type and drops the socket)
-// and the caller falls back to a dedicated per-channel connection.
+// logical channel to that peer over a single Connection. Its first frame is
+// kMuxHello, which marks the socket as a mux peer at the receiver; every
+// frame carries its stream id in the common 13-byte header (see frame.h).
 //
 // Streams are opened with kMuxOpen / kMuxOpenAck. A data stream carries the
-// exact Handshake identity of a per-channel connection, and its open-ack
+// Handshake identity of one (entry, partition) channel, and its open-ack
 // returns the receiver's durable watermark — RemoteChannel replays its log
-// past it, the same §5 reconnect contract as a dedicated socket. A reply
-// stream carries kResponse frames (strong-read results) worker -> head, off
-// the membership control channel.
+// past it (§5 as the transport's reconnect path). A rejected open surfaces
+// as kFailedPrecondition, the receiver's verdict on the channel identity.
 //
 // Flow control is per-stream credit windows: the open-ack grants an initial
 // window in frames, each data-bearing frame spends one credit, and the
 // receiver returns credits (kMuxWindow) as its executor consumes frames. A
 // hot stream out of credits blocks only its own sender — the shared socket
 // keeps moving for its siblings. Cumulative acks arrive coalesced
-// (kMuxAckBatch, one frame for many streams) and are synthesized back into
-// per-stream kAck frames here, so stream consumers reuse the per-channel
-// frame handling unchanged.
+// (kMuxAckBatch, one frame for many streams) and are handed to each stream's
+// on_ack.
 //
 // All stream callbacks run on the event-loop thread (the Connection
 // contract). MuxConnection never repairs itself: when the shared socket
@@ -32,6 +28,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -48,25 +45,25 @@ namespace sdg::net {
 
 class MuxStream;
 
+// Staged-frame capacity of a mux socket, at both ends. Many streams share
+// the buffer; per-stream fairness comes from the credit windows, not this
+// bound.
+inline constexpr size_t kMuxSendQueueFrames = 256;
+
 class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
  public:
   struct Options {
-    // Event loop driving the shared socket (required — mux is epoll-only).
+    // Event loop driving the shared socket; nullptr = EventLoop::Shared().
     EventLoop* loop = nullptr;
     uint64_t deployment_id = 0;
-    // Staged-frame capacity of the shared socket. Larger than a dedicated
-    // connection's default because many streams share the buffer; per-stream
-    // fairness comes from the credit windows, not this bound.
-    size_t send_queue_frames = 256;
-    // Blocking-read timeout for the hello exchange.
-    int hello_timeout_ms = 5000;
-    // Bound on the wait for a stream's open-ack.
-    int open_timeout_ms = 10000;
   };
 
-  // Dials the peer and runs the hello exchange. Any failure (including a
-  // v1-only receiver dropping the socket on the unknown frame type) surfaces
-  // as a non-ok Result — the caller falls back to per-channel sockets.
+  // Called with each cumulative durable watermark the receiver reports for
+  // a stream (loop thread).
+  using AckFn = std::function<void(uint64_t acked_ts)>;
+
+  // Dials the peer and runs the hello exchange; any failure surfaces as a
+  // non-ok Result.
   static Result<std::shared_ptr<MuxConnection>> Dial(const std::string& host,
                                                      uint16_t port,
                                                      Options options);
@@ -76,11 +73,11 @@ class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
   MuxConnection& operator=(const MuxConnection&) = delete;
 
   // Opens one logical stream, blocking until the server's open-ack (bounded
-  // by open_timeout_ms). `on_frame` sees every server->client frame for the
-  // stream — kAck both direct and synthesized from kMuxAckBatch — on the
-  // loop thread. `on_error` fires once if the shared connection breaks.
+  // wait). A rejected open returns kFailedPrecondition. `on_ack` sees every
+  // watermark the server acks for the stream; `on_error` fires once if the
+  // shared connection breaks.
   Result<std::shared_ptr<MuxStream>> OpenStream(const MuxOpenMsg& open,
-                                                Connection::FrameFn on_frame,
+                                                AckFn on_ack,
                                                 Connection::ErrorFn on_error);
 
   bool broken() const { return broken_.load(std::memory_order_acquire); }
@@ -91,17 +88,13 @@ class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
  private:
   friend class MuxStream;
 
-  MuxConnection(Options options, uint32_t default_window)
-      : options_(options),
-        default_window_(default_window == 0 ? 64 : default_window) {}
+  explicit MuxConnection(uint32_t default_window)
+      : default_window_(default_window == 0 ? 64 : default_window) {}
 
   void OnFrame(Frame frame);
   void OnError(const Status& status);
-  // Routes one frame to its stream (dropping frames for abandoned streams).
-  void Deliver(uint32_t stream_id, Frame frame);
   std::shared_ptr<MuxStream> FindStream(uint32_t stream_id);
 
-  const Options options_;
   const uint32_t default_window_;
   std::unique_ptr<Connection> conn_;
   std::atomic<bool> broken_{false};
@@ -115,46 +108,51 @@ class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
 
 // Handle for one logical stream. Senders on a single stream must serialize
 // themselves (frames interleave whole-frame across streams, FIFO within
-// one) — the same discipline as one Connection per channel.
+// one).
 class MuxStream {
  public:
   // Sends one data-bearing frame, blocking while the stream is out of
   // flow-control credits or the shared socket's staging buffer is full.
   // False when the connection broke — the caller's log keeps the frame
-  // replayable, exactly the Connection::Send contract.
+  // replayable.
   bool Send(FrameType type, std::vector<uint8_t> payload);
 
-  // Best-effort variant: never waits for credits or buffer space.
-  bool TrySend(FrameType type, const std::vector<uint8_t>& payload);
-
   uint32_t id() const { return id_; }
-  // The receiver's durable watermark from the open-ack (data streams).
+  // The receiver's durable watermark from the open-ack.
   uint64_t acked_ts() const { return acked_ts_; }
   bool broken() const;
+
+  // Stops every later on_ack/on_error call, waiting out one already running,
+  // so the owner of what the callbacks capture may be destroyed right after.
+  // The loop thread can still hold the stream for a moment after its owner
+  // drops it.
+  void Detach();
 
  private:
   friend class MuxConnection;
 
   MuxStream(std::shared_ptr<MuxConnection> conn, uint32_t id,
-            Connection::FrameFn on_frame, Connection::ErrorFn on_error)
+            MuxConnection::AckFn on_ack, Connection::ErrorFn on_error)
       : conn_(std::move(conn)),
         id_(id),
-        on_frame_(std::move(on_frame)),
+        on_ack_(std::move(on_ack)),
         on_error_(std::move(on_error)) {}
 
-  // Loop-thread entry points, called by MuxConnection::Deliver.
+  // Loop-thread entry points, called by MuxConnection::OnFrame.
   void CompleteOpen(const MuxOpenAckMsg& ack);
   void GrantCredits(uint32_t credits);
-  void OnFrame(Frame frame);
+  void OnAck(uint64_t acked_ts);
   void FailStream(const Status& status);
   // OpenStream's blocking wait; returns false on timeout/breakage.
-  bool AwaitOpen(int timeout_ms, MuxOpenAckMsg* out);
+  bool AwaitOpen(MuxOpenAckMsg* out);
 
   const std::shared_ptr<MuxConnection> conn_;
   const uint32_t id_;
-  const Connection::FrameFn on_frame_;
-  const Connection::ErrorFn on_error_;
-  uint64_t acked_ts_ = 0;  // written once by CompleteOpen before OpenStream returns
+  // Held while a callback runs; Detach takes it to clear them.
+  std::mutex callback_mu_;
+  MuxConnection::AckFn on_ack_;
+  Connection::ErrorFn on_error_;
+  uint64_t acked_ts_ = 0;  // written once by OpenStream before it returns
 
   std::mutex mu_;
   std::condition_variable cv_;
@@ -170,7 +168,7 @@ class MuxStream {
 // lock across a dial (peer dials are rare — flips and reconnects).
 class MuxPool {
  public:
-  explicit MuxPool(MuxConnection::Options base) : base_(base) {}
+  explicit MuxPool(MuxConnection::Options base = {}) : base_(base) {}
   ~MuxPool() { CloseAll(); }
 
   Result<std::shared_ptr<MuxConnection>> Get(const std::string& host,

@@ -1,5 +1,6 @@
 #include "src/net/remote_channel.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -17,10 +18,9 @@ constexpr size_t kReplayBatch = 512;
 
 RemoteChannel::RemoteChannel(RemoteChannelOptions options,
                              runtime::OutputBuffer* log)
-    : options_(std::move(options)),
-      log_(log),
-      executor_(options_.executor != nullptr ? options_.executor
-                                             : runtime::Executor::Shared()) {}
+    : options_(std::move(options)), log_(log) {
+  SDG_CHECK(options_.mux != nullptr);
+}
 
 RemoteChannel::~RemoteChannel() { Close(); }
 
@@ -30,79 +30,9 @@ Status RemoteChannel::Connect() {
 }
 
 Status RemoteChannel::ConnectLocked() {
-  if (options_.mux != nullptr && options_.use_event_loop) {
-    Status s = ConnectMuxLocked();
-    if (s.ok()) {
-      return s;
-    }
-    stream_.reset();
-    // A peer that does not speak mux (or a transient open failure) falls
-    // back to the dedicated-socket path below.
-    SDG_LOG(kWarning) << "mux dial to " << options_.host << ":"
-                      << options_.port
-                      << " failed, falling back to per-channel socket: "
-                      << s.ToString();
-  }
-  SDG_ASSIGN_OR_RETURN(Socket sock,
-                       Socket::Connect(options_.host, options_.port));
-  // Bound the handshake so a wedged receiver cannot pin this thread (which
-  // may be an executor worker) indefinitely; cleared before the data path.
-  sock.SetRecvTimeout(5000);
-
-  Handshake hs;
-  hs.deployment_id = options_.deployment_id;
-  hs.source_task = options_.source_task;
-  hs.source_instance = options_.source_instance;
-  hs.entry = options_.entry;
-  hs.emit_clock = 0;
-  SDG_RETURN_IF_ERROR(
-      WriteFrameBlocking(sock, FrameType::kHandshake, hs.Encode()));
-
-  FrameDecoder carry;
-  SDG_ASSIGN_OR_RETURN(Frame reply, ReadFrameBlocking(sock, carry));
-  if (reply.type != FrameType::kHandshakeAck) {
-    return Status(StatusCode::kDataLoss, "expected handshake ack");
-  }
-  SDG_ASSIGN_OR_RETURN(HandshakeAck ack, HandshakeAck::Decode(reply.payload));
-  if (!ack.accepted) {
-    return FailedPreconditionError("handshake rejected: " + ack.message);
-  }
-
-  // The watermark in the ack doubles as an ack that may have been lost with
-  // the previous connection: trim the log up to it before computing replay.
-  log_->Ack(kRemoteDest, ack.acked_ts);
-  {
-    std::lock_guard<std::mutex> alock(ack_mutex_);
-    acked_watermark_ = std::max(acked_watermark_, ack.acked_ts);
-  }
-
-  sock.SetRecvTimeout(0);
-  Connection::Options copts;
-  copts.send_queue_frames = options_.send_queue_frames;
-  if (options_.use_event_loop) {
-    copts.loop = options_.loop != nullptr ? options_.loop : EventLoop::Shared();
-  }
-  conn_ = std::make_unique<Connection>(
-      std::move(sock), copts, [this](Frame f) { HandleFrame(std::move(f)); },
-      [this](const Status& s) {
-        SDG_LOG(kWarning) << "remote channel connection failed: "
-                          << s.ToString();
-        // Heal in the background so an idle sender does not pay the redial
-        // on its next Deliver. Deliver's own synchronous repair remains the
-        // authoritative path; whichever runs first wins (both serialize on
-        // send_mutex_ and the loser sees a healthy connection).
-        StartBackgroundReconnect();
-      },
-      std::move(carry));
-
-  return ReplayLocked(ack.acked_ts);
-}
-
-Status RemoteChannel::ConnectMuxLocked() {
   SDG_ASSIGN_OR_RETURN(std::shared_ptr<MuxConnection> mux,
                        options_.mux->Get(options_.host, options_.port));
   MuxOpenMsg open;
-  open.kind = kMuxStreamData;
   open.deployment_id = options_.deployment_id;
   open.source_task = options_.source_task;
   open.source_instance = options_.source_instance;
@@ -111,20 +41,20 @@ Status RemoteChannel::ConnectMuxLocked() {
   SDG_ASSIGN_OR_RETURN(
       std::shared_ptr<MuxStream> stream,
       mux->OpenStream(
-          open, [this](Frame f) { HandleFrame(std::move(f)); },
+          open, [this](uint64_t acked_ts) { HandleAck(acked_ts); },
           [this](const Status& s) {
-            SDG_LOG(kWarning)
-                << "mux stream failed: " << s.ToString();
+            SDG_LOG(kWarning) << "mux stream failed: " << s.ToString();
+            // Heal in the background so an idle sender does not pay the
+            // redial on its next Deliver. Deliver's own synchronous repair
+            // remains the authoritative path; whichever runs first wins
+            // (both serialize on send_mutex_ and the loser sees a healthy
+            // stream).
             StartBackgroundReconnect();
           }));
   // The open-ack watermark doubles as an ack that may have been lost with
-  // the previous connection — exactly the HandshakeAck contract.
-  log_->Ack(kRemoteDest, stream->acked_ts());
-  {
-    std::lock_guard<std::mutex> alock(ack_mutex_);
-    acked_watermark_ = std::max(acked_watermark_, stream->acked_ts());
-  }
+  // the previous connection: trim the log up to it before computing replay.
   const uint64_t acked_ts = stream->acked_ts();
+  HandleAck(acked_ts);
   stream_ = std::move(stream);
   return ReplayLocked(acked_ts);
 }
@@ -156,46 +86,44 @@ Status RemoteChannel::EnsureConnectedLocked() {
   if (stream_ != nullptr && !stream_->broken()) {
     return Status::Ok();
   }
-  if (conn_ != nullptr && !conn_->broken()) {
-    return Status::Ok();
-  }
   Status last = UnavailableError("not connected");
   for (int attempt = 0; attempt < std::max(1, options_.reconnect_attempts);
        ++attempt) {
-    conn_.reset();
-    stream_.reset();
+    DropStreamLocked();
     last = ConnectLocked();
     if (last.ok()) {
       return last;
     }
-    conn_.reset();
-    stream_.reset();
+    DropStreamLocked();
     std::this_thread::sleep_for(
         std::chrono::milliseconds(options_.reconnect_backoff_ms));
   }
   return last;
 }
 
+void RemoteChannel::DropStreamLocked() {
+  if (stream_ != nullptr) {
+    // The loop thread may still be about to call this channel's ack/error
+    // callbacks through its own reference to the stream.
+    stream_->Detach();
+    stream_.reset();
+  }
+}
+
 bool RemoteChannel::SendBatchLocked(
     const std::vector<runtime::DataItem>& items) {
-  const bool via_stream = stream_ != nullptr;
-  if (via_stream ? stream_->broken()
-                 : (conn_ == nullptr || conn_->broken())) {
+  if (stream_ == nullptr || stream_->broken()) {
     return false;
   }
   // The payload is serialized once and handed to the scatter-gather send
   // path by move — the header lives inline in the queue entry, so no frame
-  // buffer is ever assembled (the per-frame memcpy the old path paid).
+  // buffer is ever assembled.
   BinaryWriter payload;
   payload.Write<uint32_t>(static_cast<uint32_t>(items.size()));
   for (const auto& item : items) {
     item.Serialize(payload);
   }
-  if (via_stream) {
-    return stream_->Send(FrameType::kData, std::move(payload).TakeBuffer());
-  }
-  return conn_->SendFrame(FrameType::kData, 0,
-                          std::move(payload).TakeBuffer());
+  return stream_->Send(FrameType::kData, std::move(payload).TakeBuffer());
 }
 
 bool RemoteChannel::Deliver(runtime::DataItem item) {
@@ -227,18 +155,10 @@ size_t RemoteChannel::DeliverAll(std::vector<runtime::DataItem>&& items) {
   return count;
 }
 
-void RemoteChannel::HandleFrame(Frame frame) {
-  if (frame.type != FrameType::kAck) {
-    return;  // data/handshake frames are not expected sender-side
-  }
-  auto ack = AckMsg::Decode(frame.payload);
-  if (!ack.ok()) {
-    SDG_LOG(kWarning) << "dropping malformed ack: " << ack.status().ToString();
-    return;
-  }
-  log_->Ack(kRemoteDest, ack->acked_ts);
+void RemoteChannel::HandleAck(uint64_t acked_ts) {
+  log_->Ack(kRemoteDest, acked_ts);
   std::lock_guard<std::mutex> lock(ack_mutex_);
-  acked_watermark_ = std::max(acked_watermark_, ack->acked_ts);
+  acked_watermark_ = std::max(acked_watermark_, acked_ts);
 }
 
 uint64_t RemoteChannel::acked_watermark() const {
@@ -257,74 +177,25 @@ void RemoteChannel::StartBackgroundReconnect() {
     std::lock_guard<std::mutex> lock(reconnect_mutex_);
     ++reconnect_inflight_;
   }
-  if (options_.mux != nullptr && options_.use_event_loop) {
-    // Mux repair must not ride the shared executor: reopening a stream
-    // replays the log, and replay blocks on flow-control credits the
-    // receiver grants through ITS executor — an executor task waiting on
-    // another executor's progress is how small pools deadlock. But waiting
-    // for the next Deliver is not enough either: a reader blocked on data
-    // that only this channel's replay can deliver generates no new sends,
-    // so the channel would stay broken (and its log unreplayed) forever.
-    // A dedicated thread per round — spawned only on connection failure —
-    // heals eagerly without touching any executor.
-    std::thread([this] { MuxBackgroundReconnect(); }).detach();
-    return;
-  }
-  executor_->Submit([this] { BackgroundReconnect(0); });
-}
-
-// One redial attempt per executor task, re-submitted up to the round's
-// attempt budget and never beyond it. Each attempt is its own task so the
-// worker is RELEASED between attempts — other work (including the receiver's
-// own setup, on a shared pool) interleaves, and a permanently-down receiver
-// costs bounded worker time rather than pinning a slot for the whole round.
-// After the round, the synchronous path in Deliver* owns repair.
-void RemoteChannel::BackgroundReconnect(int attempt) {
-  bool done = true;
-  if (!closed_.load(std::memory_order_acquire)) {
-    if (attempt > 0) {
-      // Pace redials. Sleeping here briefly occupies the worker; the release
-      // point between attempts is what matters for interleaving.
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.reconnect_backoff_ms));
-    }
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    const bool healthy = (stream_ != nullptr && !stream_->broken()) ||
-                         (conn_ != nullptr && !conn_->broken());
-    if (!closed_.load(std::memory_order_acquire) && !healthy) {
-      conn_.reset();
-      stream_.reset();
-      Status s = ConnectLocked();
-      if (s.ok()) {
-        if (closed_.load(std::memory_order_acquire)) {
-          conn_.reset();  // raced with Close: do not leave a live socket
-          stream_.reset();
-        }
-      } else {
-        conn_.reset();
-        stream_.reset();
-        done = attempt + 1 >= std::max(1, options_.reconnect_attempts);
-      }
-    }
-  }
-  if (!done) {
-    executor_->Submit([this, attempt] { BackgroundReconnect(attempt + 1); });
-    return;
-  }
-  reconnecting_.store(false, std::memory_order_release);
-  // Notify under the lock: once Close observes zero it may destroy the
-  // channel, so the cv must not be touched after unlock.
-  std::lock_guard<std::mutex> lock(reconnect_mutex_);
-  --reconnect_inflight_;
-  reconnect_cv_.notify_all();
+  // Repair must not ride the shared executor: reopening a stream replays the
+  // log, and replay blocks on flow-control credits the receiver grants
+  // through ITS executor — an executor task waiting on another executor's
+  // progress is how small pools deadlock. But waiting for the next Deliver
+  // is not enough either: a reader blocked on data that only this channel's
+  // replay can deliver generates no new sends, so the channel would stay
+  // broken (and its log unreplayed) forever. A dedicated thread per round —
+  // spawned only on connection failure — heals eagerly without touching any
+  // executor.
+  std::thread([this] { BackgroundReconnect(); }).detach();
 }
 
 // One bounded round of redial attempts, all on this (dedicated) thread.
 // Blocking here is fine — replay may stall on flow-control credits until the
 // receiver drains — and the round ends early the moment the channel is
 // healthy (the synchronous Deliver path may win the race; both serialize on
-// send_mutex_).
-void RemoteChannel::MuxBackgroundReconnect() {
+// send_mutex_). After the round, the synchronous path in Deliver* owns
+// repair.
+void RemoteChannel::BackgroundReconnect() {
   for (int attempt = 0; attempt < std::max(1, options_.reconnect_attempts);
        ++attempt) {
     if (closed_.load(std::memory_order_acquire)) {
@@ -338,22 +209,17 @@ void RemoteChannel::MuxBackgroundReconnect() {
     if (closed_.load(std::memory_order_acquire)) {
       break;
     }
-    if ((stream_ != nullptr && !stream_->broken()) ||
-        (conn_ != nullptr && !conn_->broken())) {
+    if (stream_ != nullptr && !stream_->broken()) {
       break;
     }
-    conn_.reset();
-    stream_.reset();
-    Status s = ConnectLocked();
-    if (s.ok()) {
+    DropStreamLocked();
+    if (ConnectLocked().ok()) {
       if (closed_.load(std::memory_order_acquire)) {
-        conn_.reset();  // raced with Close: do not leave a live socket
-        stream_.reset();
+        DropStreamLocked();  // raced with Close: do not leave a live stream
       }
       break;
     }
-    conn_.reset();
-    stream_.reset();
+    DropStreamLocked();
   }
   reconnecting_.store(false, std::memory_order_release);
   // Notify under the lock: once Close observes zero it may destroy the
@@ -367,10 +233,9 @@ void RemoteChannel::Close() {
   closed_.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(send_mutex_);
-    conn_.reset();
-    // Dropping the stream handle detaches this channel; the shared per-peer
-    // socket stays up for its sibling channels (the pool owns it).
-    stream_.reset();
+    // The shared per-peer socket stays up for sibling channels (the pool
+    // owns it).
+    DropStreamLocked();
   }
   std::unique_lock<std::mutex> lock(reconnect_mutex_);
   reconnect_cv_.wait(lock, [this] { return reconnect_inflight_ == 0; });
@@ -378,8 +243,7 @@ void RemoteChannel::Close() {
 
 bool RemoteChannel::connected() const {
   std::lock_guard<std::mutex> lock(send_mutex_);
-  return (stream_ != nullptr && !stream_->broken()) ||
-         (conn_ != nullptr && !conn_->broken());
+  return stream_ != nullptr && !stream_->broken();
 }
 
 }  // namespace sdg::net

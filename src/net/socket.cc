@@ -214,7 +214,8 @@ Result<Socket> Listener::TryAccept() {
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       // accept() does not inherit O_NONBLOCK: the socket is blocking, which
-      // is what the synchronous handshake wants; the data path flips it.
+      // is what the synchronous first-frame read wants; a Connection flips
+      // it.
       return Socket(fd);
     }
     if (errno == EINTR) {

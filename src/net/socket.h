@@ -1,11 +1,12 @@
 // Minimal RAII wrappers over POSIX TCP sockets.
 //
-// Sockets start blocking (handshakes are simple synchronous exchanges) and
-// switch to non-blocking for the data path, where a single epoll loop
+// Sockets start blocking (first-frame setup exchanges are simple synchronous
+// exchanges, and blocking-socket users such as clients, migration sessions
+// and the worker's control channel stay that way) and switch to
+// non-blocking under a Connection, where a single epoll loop
 // (event_loop.h) multiplexes every connection: TryRead/TryWrite surface
-// would-block instead of parking a thread. The legacy thread-per-connection
-// mode keeps using the blocking calls. All failures surface as Status — a
-// dropped peer is an expected event the reconnect path handles, never a
+// would-block instead of parking a thread. All failures surface as Status —
+// a dropped peer is an expected event the reconnect path handles, never a
 // crash.
 #ifndef SDG_NET_SOCKET_H_
 #define SDG_NET_SOCKET_H_
@@ -49,11 +50,11 @@ class Socket {
   Status WriteAll(const uint8_t* buf, size_t size);
 
   // Bounds how long ReadSome may block (0 restores indefinite blocking).
-  // Used for the handshake phase so a silent client cannot pin a thread.
+  // Used for setup exchanges so a silent peer cannot pin a thread.
   void SetRecvTimeout(int millis);
 
-  // Switches O_NONBLOCK on or off (event-loop mode flips it on after the
-  // blocking handshake).
+  // Switches O_NONBLOCK on or off (a Connection flips it on after the
+  // blocking setup exchange).
   Status SetNonBlocking(bool enable);
 
   // Non-blocking read: bytes read, 0 on orderly EOF, or kWouldBlock when the

@@ -132,13 +132,6 @@ Status ElasticWorker::Start() {
         OnMigrationSession(std::move(socket), std::move(carry), begin);
       }));
 
-  if (options_.mux_replies) {
-    net::MuxConnection::Options mopts;
-    mopts.loop = net::EventLoop::Shared();
-    mopts.deployment_id = options_.deployment_id;
-    reply_pool_ = std::make_unique<net::MuxPool>(mopts);
-  }
-
   // Strong-read reply path: forward these sinks' outputs to the head as
   // kResponse frames, keyed by the item's user_tag (the gateway's request
   // tag; untagged outputs have no waiter and are dropped).
@@ -214,12 +207,6 @@ void ElasticWorker::Stop() {
   }
   if (server_) {
     server_->Stop();
-  }
-  // Fail the reply stream before deployment shutdown: an output callback
-  // blocked in MuxStream::Send (head wedged, no credits) must wake and
-  // return false, or Shutdown would wait on it forever.
-  if (reply_pool_) {
-    reply_pool_->CloseAll();
   }
   if (deployment_) {
     deployment_->Shutdown();
@@ -381,8 +368,9 @@ Status ElasticWorker::Checkpoint() {
     store_->PruneBefore(options_.member_id, epoch_);
   }
   // Ack outside the ingest lock: senders trim their logs; a lost ack is
-  // repaired by the next handshake's watermark. One batched call: a mux
-  // sender gets a single coalesced kMuxAckBatch frame for all its streams.
+  // repaired by the watermark in the next stream open-ack. One batched call:
+  // the head's socket gets a single coalesced kMuxAckBatch frame for all its
+  // streams.
   if (!acks.empty()) {
     std::vector<net::ChannelServer::SourceAck> batch;
     batch.reserve(acks.size());
@@ -510,26 +498,6 @@ bool ElasticWorker::SendControlToHead(const net::ControlMsg& msg) {
 }
 
 bool ElasticWorker::SendResponseToHead(const net::ResponseMsg& msg) {
-  if (options_.mux_replies) {
-    auto stream = ReplyStream();
-    if (stream != nullptr) {
-      // TrySend, not Send: this runs on the deployment's executor (sink
-      // output callback), and executor tasks must never block on mux
-      // credits — the head returns credits through its own executor, and on
-      // a small pool the two sides would starve each other. Out of credits
-      // (or a full staging buffer) falls back to the control channel.
-      if (stream->TrySend(net::FrameType::kResponse, msg.Encode())) {
-        return true;
-      }
-      if (stream->broken()) {
-        // Drop the cached handle; the next response reopens.
-        std::lock_guard<std::mutex> lock(reply_mutex_);
-        if (reply_stream_ == stream) {
-          reply_stream_.reset();
-        }
-      }
-    }
-  }
   std::lock_guard<std::mutex> lock(ctrl_send_mutex_);
   if (ctrl_socket_ == nullptr) {
     return false;
@@ -537,45 +505,6 @@ bool ElasticWorker::SendResponseToHead(const net::ResponseMsg& msg) {
   return net::WriteFrameBlocking(*ctrl_socket_, net::FrameType::kResponse,
                                  msg.Encode())
       .ok();
-}
-
-std::shared_ptr<net::MuxStream> ElasticWorker::ReplyStream() {
-  std::lock_guard<std::mutex> lock(reply_mutex_);
-  if (reply_stream_ != nullptr && !reply_stream_->broken()) {
-    return reply_stream_;
-  }
-  reply_stream_.reset();
-  if (reply_pool_ == nullptr || !running_.load(std::memory_order_acquire)) {
-    return nullptr;
-  }
-  // Negative cache: a head that refused mux (old binary) or a failed open
-  // must not cost every subsequent response a fresh dial.
-  const auto now = std::chrono::steady_clock::now();
-  if (now < reply_retry_after_) {
-    return nullptr;
-  }
-  auto conn = reply_pool_->Get(options_.head_host, options_.head_port);
-  if (!conn.ok()) {
-    // Head predates mux (or is down) — the control channel carries replies.
-    reply_retry_after_ = now + std::chrono::seconds(2);
-    return nullptr;
-  }
-  net::MuxOpenMsg open;
-  open.kind = net::kMuxStreamReply;
-  open.deployment_id = options_.deployment_id;
-  open.member_id = options_.member_id;
-  auto stream =
-      (*conn)->OpenStream(open, /*on_frame=*/nullptr, /*on_error=*/nullptr);
-  if (!stream.ok()) {
-    SDG_LOG(kWarning) << "worker " << options_.member_id
-                   << " reply stream open failed: "
-                   << stream.status().ToString();
-    reply_retry_after_ = std::chrono::steady_clock::now() +
-                         std::chrono::seconds(2);
-    return nullptr;
-  }
-  reply_stream_ = *stream;
-  return reply_stream_;
 }
 
 // --- Replica feed -----------------------------------------------------------
@@ -722,32 +651,36 @@ void ElasticWorker::HandleControl(net::Socket& socket,
       break;
     case net::kCtrlRelease: {
       // Abort/cleanup: drop the partition (and any durable claim on it).
-      std::scoped_lock op(op_mutex_);
       bool was_owned;
       {
-        std::lock_guard<std::mutex> ingest(ingest_mutex_);
-        was_owned = owned_.erase(msg.partition) > 0;
-        for (uint32_t ei = 0; ei < options_.entries.size(); ++ei) {
-          uint32_t si =
-              SourceInstanceOf(ei, msg.partition, options_.partitions);
-          received_.erase(si);
-          durable_.erase(si);
+        std::scoped_lock op(op_mutex_);
+        {
+          std::lock_guard<std::mutex> ingest(ingest_mutex_);
+          was_owned = owned_.erase(msg.partition) > 0;
+          for (uint32_t ei = 0; ei < options_.entries.size(); ++ei) {
+            uint32_t si =
+                SourceInstanceOf(ei, msg.partition, options_.partitions);
+            received_.erase(si);
+            durable_.erase(si);
+          }
+          auto* backend =
+              deployment_->StateInstance(options_.state, msg.partition);
+          if (backend != nullptr) {
+            backend->Clear();
+          }
         }
-        auto* backend =
-            deployment_->StateInstance(options_.state, msg.partition);
-        if (backend != nullptr) {
-          backend->Clear();
+        {
+          std::lock_guard<std::mutex> lock(outbound_mutex_);
+          if (outbound_ && outbound_->partition == msg.partition) {
+            outbound_.reset();
+          }
+        }
+        if (!tails_.empty()) {
+          tails_[msg.partition]->Clear();
         }
       }
-      {
-        std::lock_guard<std::mutex> lock(outbound_mutex_);
-        if (outbound_ && outbound_->partition == msg.partition) {
-          outbound_.reset();
-        }
-      }
-      if (!tails_.empty()) {
-        tails_[msg.partition]->Clear();
-      }
+      // Outside op_mutex_: Checkpoint takes it itself, and std::mutex does
+      // not recurse.
       if (was_owned) {
         (void)Checkpoint();  // make the release durable
       }
@@ -1159,12 +1092,9 @@ Status ElasticHead::Start() {
     sopts.num_backup_nodes = options_.backup_nodes;
     store_ = std::make_unique<checkpoint::BackupStore>(std::move(sopts));
   }
-  if (options_.use_mux) {
-    net::MuxConnection::Options mopts;
-    mopts.loop = net::EventLoop::Shared();
-    mopts.deployment_id = options_.deployment_id;
-    mux_pool_ = std::make_unique<net::MuxPool>(mopts);
-  }
+  net::MuxConnection::Options mopts;
+  mopts.deployment_id = options_.deployment_id;
+  mux_pool_ = std::make_unique<net::MuxPool>(mopts);
   net::ChannelServerOptions nopts;
   nopts.port = options_.port;
   server_ = std::make_unique<net::ChannelServer>(std::move(nopts));
@@ -1437,7 +1367,7 @@ Status ElasticHead::FlipOwnerLocked(Part& part, uint32_t partition,
     copts.entry = options_.entries[ei];
     copts.reconnect_attempts = options_.channel_reconnect_attempts;
     copts.reconnect_backoff_ms = options_.channel_reconnect_backoff_ms;
-    copts.mux = mux_pool_.get();  // null when use_mux is off
+    copts.mux = mux_pool_.get();
     auto chan =
         std::make_shared<net::RemoteChannel>(copts, logs_[si].get());
     // Connect replays everything logged past the owner's durable watermark;

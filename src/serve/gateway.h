@@ -4,7 +4,8 @@
 // membership port: clients connect with kRequest frames (the ChannelServer
 // classifies them by first frame), workers' replica feeds arrive as
 // kReplicaSubscribe/kReplicaEpoch, and strong-read replies ride the workers'
-// reply streams back as kResponse frames. The hot path is load-proportional:
+// membership control channels back as kResponse frames. The hot path is
+// load-proportional:
 //
 //   * group commit: each flush injects everything queued (up to
 //     kMaxFlushBatch) and never waits for more, so a slow downstream grows

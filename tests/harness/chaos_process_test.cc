@@ -58,7 +58,6 @@ class ProcessFleet {
     h.backup_root = BackupRoot();
     h.monitor_interval_ms = 50;
     h.migrate_timeout_ms = migrate_timeout_ms;
-    h.use_mux = ChaosMuxEnabled();  // SDG_CHAOS_MUX=0: per-channel sockets
     head_ = std::make_unique<elastic::ElasticHead>(h);
   }
 
@@ -89,7 +88,6 @@ class ProcessFleet {
     spec.partitions = partitions_;
     spec.crash_at = crash_at;
     spec.serve = serve;
-    spec.mux = ChaosMuxEnabled();
     spec.spill_budget_kb = spill_budget_kb;
     spec.store_stripes = store_stripes;
     pid_t pid = SpawnElasticWorker(SDG_ELASTIC_WORKER_BIN, spec);

@@ -1,6 +1,7 @@
-// Loopback integration tests of the TCP transport: RemoteChannel sender,
-// ChannelServer receiver, upstream-backup trim on acks, and the
-// kill/restart reconnect-replay path (§5 as the transport's error path).
+// Loopback integration tests of the TCP transport: RemoteChannel sender on
+// a MuxPool stream, ChannelServer receiver, upstream-backup trim on acks,
+// the kill/restart reconnect-replay path (§5 as the transport's error path),
+// and the read-interest backpressure of client peers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,8 @@
 
 #include "src/graph/sdg.h"
 #include "src/net/channel_server.h"
+#include "src/net/connection.h"
+#include "src/net/mux.h"
 #include "src/net/remote_channel.h"
 #include "src/runtime/cluster.h"
 
@@ -64,8 +67,10 @@ TEST(ChannelTest, LoopbackDeliverAckTrim) {
                          })
                   .ok());
 
+  MuxPool pool;
   OutputBuffer log;
   RemoteChannelOptions opts;
+  opts.mux = &pool;
   opts.port = server.port();
   opts.entry = "t";
   RemoteChannel chan(opts, &log);
@@ -98,53 +103,63 @@ TEST(ChannelTest, LoopbackDeliverAckTrim) {
   server.Stop();
 }
 
-// Regression test for the read-interest backpressure protocol: a slow
-// on_batch lets the per-peer frame backlog repeatedly cross the pause
-// watermark while the executor drains it back under the resume watermark,
-// cycling pause/resume many times. A stale interest update losing the race
-// (reads off while unpaused) wedges the peer permanently — the test then
-// times out with items missing.
+// Regression test for the read-interest backpressure protocol, driven
+// through a client peer (the peers that pause their socket's reads; data
+// streams rely on credit windows instead): a slow on_request lets the
+// per-peer frame backlog repeatedly cross the pause watermark while the
+// executor drains it back under the resume watermark, cycling pause/resume
+// many times. A stale interest update losing the race (reads off while
+// unpaused) wedges the peer permanently — the test then times out with
+// requests missing.
 TEST(ChannelTest, BackpressurePauseResumeStress) {
-  constexpr uint64_t kItems = 4000;
+  constexpr uint64_t kRequests = 4000;
   std::atomic<uint64_t> received{0};
   std::atomic<bool> in_order{true};
-  uint64_t next_ts = 1;  // dispatch slices are serialized, no lock needed
+  uint64_t next_id = 1;  // dispatch slices are serialized, no lock needed
   ChannelServer server(ChannelServerOptions{});
   ASSERT_TRUE(server
                   .Start([](const Handshake&) { return uint64_t{0}; },
-                         [&](const Handshake&, std::vector<DataItem> items) {
-                           for (const auto& item : items) {
-                             if (item.ts != next_ts) {
-                               in_order.store(false);
-                             }
-                             ++next_ts;
-                           }
-                           uint64_t total =
-                               received.fetch_add(items.size()) + items.size();
-                           // Stall in bursts so the frame backlog climbs past
-                           // the pause watermark, then drains below resume.
-                           if (total % 64 < 8) {
-                             std::this_thread::sleep_for(
-                                 std::chrono::microseconds(200));
-                           }
-                         })
+                         [](const Handshake&, std::vector<DataItem>) {})
                   .ok());
+  server.SetServeHandlers(
+      [&](uint64_t, std::vector<RequestMsg> reqs) {
+        for (const auto& req : reqs) {
+          if (req.request_id != next_id) {
+            in_order.store(false);
+          }
+          ++next_id;
+        }
+        uint64_t total = received.fetch_add(reqs.size()) + reqs.size();
+        // Stall in bursts so the frame backlog climbs past the pause
+        // watermark, then drains below resume.
+        if (total % 64 < 8) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      },
+      /*on_feed=*/nullptr);
 
-  OutputBuffer log;
-  RemoteChannelOptions opts;
-  opts.port = server.port();
-  opts.entry = "t";
-  RemoteChannel chan(opts, &log);
-  ASSERT_TRUE(chan.Connect().ok());
-  for (uint64_t ts = 1; ts <= kItems; ++ts) {
-    ASSERT_TRUE(chan.Deliver(MakeItem(ts)));
-  }
-  ASSERT_TRUE(WaitUntil([&] { return received.load() == kItems; }, 30000))
-      << "delivered " << received.load() << "/" << kItems
-      << " — read interest likely wedged off";
+  auto sock = Socket::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(sock.ok());
+  std::thread writer([&] {
+    for (uint64_t id = 1; id <= kRequests; ++id) {
+      RequestMsg req;
+      req.request_id = id;
+      req.op = kOpGet;
+      req.key = static_cast<int64_t>(id);
+      if (!WriteFrameBlocking(*sock, FrameType::kRequest, req.Encode())
+               .ok()) {
+        return;
+      }
+    }
+  });
+  const bool all =
+      WaitUntil([&] { return received.load() == kRequests; }, 30000);
+  sock->ShutdownBoth();  // unblocks a writer stuck behind a wedged peer
+  writer.join();
+  ASSERT_TRUE(all) << "delivered " << received.load() << "/" << kRequests
+                   << " — read interest likely wedged off";
   EXPECT_TRUE(in_order.load());
 
-  chan.Close();
   server.Stop();
 }
 
@@ -158,8 +173,10 @@ TEST(ChannelTest, HandshakeRejectionSurfacesAsError) {
                       },
                       [](const Handshake&, std::vector<DataItem>) {})
                   .ok());
+  MuxPool pool;
   OutputBuffer log;
   RemoteChannelOptions opts;
+  opts.mux = &pool;
   opts.port = server.port();
   opts.entry = "nope";
   opts.reconnect_attempts = 2;
@@ -187,8 +204,10 @@ TEST(ChannelTest, ServerRestartReplaysExactlyTheUnacked) {
                   .ok());
   uint16_t port = server1->port();
 
+  MuxPool pool;
   OutputBuffer log;
   RemoteChannelOptions opts;
+  opts.mux = &pool;
   opts.port = port;
   opts.entry = "t";
   opts.reconnect_backoff_ms = 20;
@@ -277,8 +296,10 @@ TEST(ChannelTest, InjectRemoteFeedsDeployment) {
                          })
                   .ok());
 
+  MuxPool pool;
   OutputBuffer log;
   RemoteChannelOptions opts;
+  opts.mux = &pool;
   opts.port = server.port();
   opts.entry = "t";
   RemoteChannel chan(opts, &log);

@@ -1,8 +1,7 @@
 // EventLoop unit tests (registration, readiness dispatch, interest updates,
 // Post, and the Deregister-waits-out-callbacks contract) plus the Connection
-// Close() drain guarantee in both operating modes: every frame Send()
-// accepted before Close must reach the peer even when Close follows the last
-// Send immediately.
+// Close() drain guarantee: every frame SendFrame() accepted before Close must
+// reach the peer even when Close follows the last send immediately.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -171,19 +170,24 @@ TEST(EventLoopTest, DeregisterWaitsOutInFlightCallback) {
 }
 
 // ---------------------------------------------------------------------------
-// Connection Close() drain: Send N frames, Close immediately, receiver must
-// get all N (the writer/loop flushes what it already accepted).
+// Connection Close() drain: send N frames, Close immediately, receiver must
+// get all N (the loop flushes what it already accepted).
 
-std::vector<uint8_t> MakeFrameBytes(uint32_t seq, size_t payload_bytes) {
+std::vector<uint8_t> MakePayload(uint32_t seq, size_t payload_bytes) {
   std::vector<uint8_t> payload(payload_bytes, static_cast<uint8_t>(seq));
   payload[0] = static_cast<uint8_t>(seq >> 0);
   payload[1] = static_cast<uint8_t>(seq >> 8);
+  return payload;
+}
+
+std::vector<uint8_t> MakeFrameBytes(uint32_t seq, size_t payload_bytes) {
+  std::vector<uint8_t> payload = MakePayload(seq, payload_bytes);
   BinaryWriter frame(kFrameHeaderBytes + payload.size());
   EncodeFrame(frame, FrameType::kData, payload.data(), payload.size());
   return std::move(frame).TakeBuffer();
 }
 
-void CloseDrainTest(bool use_event_loop) {
+TEST(ConnectionCloseDrainTest, EventLoopMode) {
   constexpr uint32_t kFrames = 200;
   constexpr size_t kPayloadBytes = 512;
 
@@ -213,9 +217,6 @@ void CloseDrainTest(bool use_event_loop) {
   ASSERT_TRUE(sock.ok());
   Connection::Options copts;
   copts.send_queue_frames = 32;
-  if (use_event_loop) {
-    copts.loop = EventLoop::Shared();
-  }
   // on_error may legitimately fire if the receiver closes its end (EOF) the
   // instant it has read the last frame, so it is not asserted on here — the
   // drain guarantee is about frame delivery, not about outliving the peer.
@@ -223,22 +224,17 @@ void CloseDrainTest(bool use_event_loop) {
       std::move(*sock), copts, [](Frame) {}, [](const Status&) {});
 
   for (uint32_t i = 0; i < kFrames; ++i) {
-    ASSERT_TRUE(conn->Send(MakeFrameBytes(i, kPayloadBytes))) << "frame " << i;
+    ASSERT_TRUE(conn->SendFrame(FrameType::kData, 0,
+                                MakePayload(i, kPayloadBytes)))
+        << "frame " << i;
   }
-  // Stop immediately: everything Send() accepted must still hit the wire.
+  // Stop immediately: everything SendFrame() accepted must still hit the
+  // wire.
   conn->Close();
 
   receiver.join();
   EXPECT_EQ(received.load(), kFrames);
   EXPECT_TRUE(in_order.load());
-}
-
-TEST(ConnectionCloseDrainTest, EventLoopMode) {
-  CloseDrainTest(/*use_event_loop=*/true);
-}
-
-TEST(ConnectionCloseDrainTest, ThreadedMode) {
-  CloseDrainTest(/*use_event_loop=*/false);
 }
 
 // Abort from another thread racing Close: Close releases the descriptor, and
@@ -295,7 +291,7 @@ TEST(ConnectionSendQueueTest, CoalescedWriteCountsEveryFrame) {
   EXPECT_TRUE(conn.TrySendFrames(three(), 3));   // 7 of 8
   EXPECT_FALSE(conn.TrySendFrames(three(), 3));  // 10 > 8: refused whole
   EXPECT_TRUE(conn.TrySendFrames(MakeFrameBytes(9, 16), 1));  // 8 of 8
-  EXPECT_FALSE(conn.TrySend(MakeFrameBytes(10, 16)));
+  EXPECT_FALSE(conn.TrySendFrame(FrameType::kData, 0, MakePayload(10, 16)));
   EXPECT_FALSE(conn.broken());
   conn.Abort(UnavailableError("test done"));  // skip Close's drain wait
 }

@@ -51,14 +51,15 @@ TEST(FrameCodecTest, RoundTripSingleFrame) {
 }
 
 TEST(FrameCodecTest, EmptyPayloadFrame) {
-  auto bytes = EncodeOne(FrameType::kAck, {});
+  auto bytes = EncodeOne(FrameType::kMuxWindow, {});
   FrameDecoder dec;
   dec.Feed(bytes.data(), bytes.size());
   Frame frame;
   auto ready = dec.Next(&frame);
   ASSERT_TRUE(ready.ok());
   ASSERT_TRUE(*ready);
-  EXPECT_EQ(frame.type, FrameType::kAck);
+  EXPECT_EQ(frame.type, FrameType::kMuxWindow);
+  EXPECT_EQ(frame.stream, 0u);
   EXPECT_TRUE(frame.payload.empty());
 }
 
@@ -102,6 +103,7 @@ TEST(FrameCodecTest, OversizedLengthRejected) {
   BinaryWriter w;
   w.Write<uint32_t>(kFrameMagic);
   w.Write<uint8_t>(static_cast<uint8_t>(FrameType::kData));
+  w.Write<uint32_t>(0);  // stream
   w.Write<uint32_t>(kMaxFramePayload + 1);
   auto bytes = std::move(w).TakeBuffer();
   FrameDecoder dec;
@@ -116,7 +118,8 @@ TEST(FrameCodecTest, UnknownTypeRejected) {
   BinaryWriter w;
   w.Write<uint32_t>(kFrameMagic);
   w.Write<uint8_t>(200);
-  w.Write<uint32_t>(0);
+  w.Write<uint32_t>(0);  // stream
+  w.Write<uint32_t>(0);  // length
   auto bytes = std::move(w).TakeBuffer();
   FrameDecoder dec;
   dec.Feed(bytes.data(), bytes.size());
@@ -166,41 +169,6 @@ TEST(FrameCodecTest, RandomSplitFeedDecodesEveryFrame) {
   EXPECT_EQ(dec.buffered_bytes(), 0u);
 }
 
-TEST(FrameMessageTest, HandshakeRoundTrip) {
-  Handshake hs;
-  hs.deployment_id = 0xDEADBEEF12345678ull;
-  hs.source_task = 11;
-  hs.source_instance = 2;
-  hs.entry = "line";
-  hs.emit_clock = 991;
-  auto decoded = Handshake::Decode(hs.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->protocol, kProtocolVersion);
-  EXPECT_EQ(decoded->deployment_id, hs.deployment_id);
-  EXPECT_EQ(decoded->source_task, 11u);
-  EXPECT_EQ(decoded->source_instance, 2u);
-  EXPECT_EQ(decoded->entry, "line");
-  EXPECT_EQ(decoded->emit_clock, 991u);
-}
-
-TEST(FrameMessageTest, HandshakeAckRoundTrip) {
-  HandshakeAck ack;
-  ack.accepted = true;
-  ack.acked_ts = 77;
-  auto decoded = HandshakeAck::Decode(ack.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->accepted);
-  EXPECT_EQ(decoded->acked_ts, 77u);
-
-  HandshakeAck nak;
-  nak.accepted = false;
-  nak.message = "wrong protocol";
-  auto d2 = HandshakeAck::Decode(nak.Encode());
-  ASSERT_TRUE(d2.ok());
-  EXPECT_FALSE(d2->accepted);
-  EXPECT_EQ(d2->message, "wrong protocol");
-}
-
 TEST(FrameMessageTest, DataBatchRoundTrip) {
   DataBatch batch;
   for (uint64_t ts = 1; ts <= 5; ++ts) {
@@ -223,12 +191,13 @@ TEST(FrameMessageTest, DataBatchRoundTrip) {
 }
 
 TEST(FrameMessageTest, TruncatedMessagesRejected) {
-  Handshake hs;
-  hs.entry = "counts";
-  auto bytes = hs.Encode();
+  JoinMsg join;
+  join.host = "127.0.0.1";
+  join.name = "counts";
+  auto bytes = join.Encode();
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<uint8_t> partial(bytes.begin(), bytes.begin() + cut);
-    EXPECT_FALSE(Handshake::Decode(partial).ok()) << "cut at " << cut;
+    EXPECT_FALSE(JoinMsg::Decode(partial).ok()) << "cut at " << cut;
   }
   DataBatch batch;
   batch.items.push_back(MakeItem(1));
@@ -242,11 +211,11 @@ TEST(FrameMessageTest, TruncatedMessagesRejected) {
 }
 
 TEST(FrameMessageTest, TrailingBytesRejected) {
-  AckMsg msg;
-  msg.acked_ts = 5;
+  MuxWindowMsg msg;
+  msg.credits = 5;
   auto bytes = msg.Encode();
   bytes.push_back(0);
-  EXPECT_FALSE(AckMsg::Decode(bytes).ok());
+  EXPECT_FALSE(MuxWindowMsg::Decode(bytes).ok());
 }
 
 TEST(FrameMessageTest, RequestRoundTrip) {

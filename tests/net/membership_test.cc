@@ -5,6 +5,7 @@
 // multi-process chaos harness (tests/harness/chaos_process_test.cc).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -423,6 +424,40 @@ TEST_F(ElasticFixture, JoinDuringActiveCheckpoint) {
   ASSERT_TRUE(head.AwaitQuiesce(20000));
   w1->Stop();
   w2->Stop();
+  head.Stop();
+}
+
+// The head aborting a migration sends the target kCtrlRelease; a target
+// whose restored epoch still lists the partition owns it, so the release
+// checkpoints. That checkpoint must not wedge the control loop: the worker
+// keeps answering checkpoint commands afterwards.
+TEST_F(ElasticFixture, ReleaseOfOwnedPartitionKeepsCheckpointing) {
+  elastic::ElasticHead head(HeadOptions());
+  ASSERT_TRUE(head.Start().ok());
+  auto w1 = MakeWorker(1, head.port());
+  ASSERT_TRUE(w1->Start().ok());
+  ASSERT_TRUE(w1->WaitJoined(10000));
+  ASSERT_TRUE(head.WaitForAssignment(10000));
+  ASSERT_TRUE(head.CheckpointMember(1, 10000).ok());
+
+  ControlMsg release;
+  release.op = net::kCtrlRelease;
+  release.partition = 0;
+  ASSERT_TRUE(head.server()->SendToMember(1, FrameType::kControl,
+                                          release.Encode()));
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto owns_p0 = [&] {
+    auto owned = w1->OwnedPartitions();
+    return std::find(owned.begin(), owned.end(), 0u) != owned.end();
+  };
+  while (owns_p0() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_FALSE(owns_p0());
+  EXPECT_TRUE(head.CheckpointMember(1, 10000).ok())
+      << "control loop wedged after the release";
+
+  w1->Stop();
   head.Stop();
 }
 

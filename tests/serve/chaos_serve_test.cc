@@ -47,7 +47,6 @@ TEST(ChaosServeTest, SigkillServingWorkerMidStream) {
   h.backup_root = (dir.path() / "backup").string();
   h.monitor_interval_ms = 50;
   h.migrate_timeout_ms = 20000;
-  h.use_mux = harness::ChaosMuxEnabled();
   elastic::ElasticHead head(h);
   ASSERT_TRUE(head.Start().ok());
 
@@ -72,7 +71,6 @@ TEST(ChaosServeTest, SigkillServingWorkerMidStream) {
     spec.partitions = kPartitions;
     spec.ckpt_interval_ms = 100;
     spec.serve = true;
-    spec.mux = harness::ChaosMuxEnabled();
     return harness::SpawnElasticWorker(SDG_ELASTIC_WORKER_BIN, spec);
   };
   pid_t pid = spawn();

@@ -141,6 +141,87 @@ TEST_F(GatewayFixture, PutGetDelOverTheWire) {
   head.Stop();
 }
 
+// A pipelined burst of strong gets, far past the 64-frame credit window a
+// per-stream reply path would have: every reply rides the worker's control
+// channel back to the head, and every one must arrive, ok, with the value
+// written. The keys are read back once first, so each burst get must see its
+// put.
+TEST_F(GatewayFixture, PipelinedStrongGetBurstAllAnswered) {
+  elastic::ElasticHead head(HeadOptions());
+  ASSERT_TRUE(head.Start().ok());
+  auto w1 = MakeServeWorker(1, head.port(), /*ckpt_interval_ms=*/100);
+  ASSERT_TRUE(w1->Start().ok());
+  ASSERT_TRUE(w1->WaitJoined(10000));
+  ASSERT_TRUE(head.WaitForAssignment(10000));
+
+  GatewayOptions go;
+  go.partitions = kPartitions;
+  // Nothing in this burst may be shed or time out: the test is about
+  // replies, not admission.
+  go.admission.high_water = 1u << 20;
+  go.admission.low_water = 1u << 19;
+  go.request_timeout_ms = 60000;
+  ServeGateway gw(&head, go);
+  ASSERT_TRUE(gw.Start().ok());
+
+  KvClientOptions co;
+  co.port = head.port();
+  co.recv_timeout_ms = 60000;
+  KvClient client(co);
+  ASSERT_TRUE(client.Connect().ok());
+
+  constexpr int64_t kKeys = 64;
+  for (int64_t k = 0; k < kKeys; ++k) {
+    auto resp = client.Put(k, "value-" + std::to_string(k));
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ASSERT_EQ(resp->code, net::kRespOk);
+  }
+  // Writes and reads ride separate per-entry channels: settle each key once.
+  for (int64_t k = 0; k < kKeys; ++k) {
+    const std::string want = "value-" + std::to_string(k);
+    bool matched = false;
+    for (int attempt = 0; attempt < 200 && !matched; ++attempt) {
+      auto resp = client.Get(k);
+      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+      matched = resp->code == net::kRespOk && resp->value == want;
+      if (!matched) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    }
+    ASSERT_TRUE(matched) << "key " << k << " never read back";
+  }
+
+  constexpr int kBurst = 4096;
+  std::map<uint64_t, int64_t> key_of;
+  for (int i = 0; i < kBurst; ++i) {
+    net::RequestMsg req;
+    req.request_id = client.NextRequestId();
+    req.op = net::kOpGet;
+    req.key = i % kKeys;
+    key_of[req.request_id] = req.key;
+    ASSERT_TRUE(client.Send(req).ok());
+  }
+  for (int i = 0; i < kBurst; ++i) {
+    auto resp = client.Recv();
+    ASSERT_TRUE(resp.ok()) << "response " << i << " lost: "
+                           << resp.status().ToString();
+    auto it = key_of.find(resp->request_id);
+    ASSERT_NE(it, key_of.end()) << "unknown or duplicate request id "
+                                << resp->request_id;
+    EXPECT_EQ(resp->code, net::kRespOk) << "request " << resp->request_id;
+    EXPECT_EQ(resp->value, "value-" + std::to_string(it->second));
+    key_of.erase(it);
+  }
+  EXPECT_TRUE(key_of.empty());
+  EXPECT_EQ(gw.stats().shed, 0u);
+  EXPECT_EQ(gw.stats().timeouts, 0u);
+
+  client.Close();
+  gw.Stop();
+  w1->Stop();
+  head.Stop();
+}
+
 TEST_F(GatewayFixture, BoundedStaleReadsComeFromReplica) {
   elastic::ElasticHead head(HeadOptions());
   ASSERT_TRUE(head.Start().ok());

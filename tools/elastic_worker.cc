@@ -35,7 +35,7 @@ void OnSignal(int) { g_stop = 1; }
                "usage: %s --app kv|wordcount --head-port N --id N --backup "
                "DIR [--head-host H] [--data-port N] [--partitions N] "
                "[--slow-us N] [--ckpt-interval-ms N] [--crash-at PHASE] "
-               "[--name S] [--serve] [--no-mux] [--spill-budget-kb N] "
+               "[--name S] [--serve] [--spill-budget-kb N] "
                "[--spill-dir DIR] [--store-stripes N]\n",
                argv0);
   std::exit(2);
@@ -84,8 +84,6 @@ int main(int argc, char** argv) {
       options.name = need("--name");
     } else if (std::strcmp(argv[i], "--serve") == 0) {
       serve = true;
-    } else if (std::strcmp(argv[i], "--no-mux") == 0) {
-      options.mux_replies = false;
     } else if (std::strcmp(argv[i], "--spill-budget-kb") == 0) {
       spill_budget_kb =
           static_cast<uint64_t>(std::atoll(need("--spill-budget-kb")));
