@@ -7,6 +7,7 @@
 #ifndef SDG_BENCH_BENCH_COMMON_H_
 #define SDG_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -52,6 +53,14 @@ inline double Scale() {
 inline uint64_t HwThreads() {
   unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
+}
+
+// Linear-interpolated quantile of an ascending vector.
+inline double Quantile(const std::vector<double>& sorted, double q) {
+  double pos = q * static_cast<double>(sorted.size() - 1);
+  size_t lo = static_cast<size_t>(pos);
+  size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - static_cast<double>(lo));
 }
 
 inline std::filesystem::path FreshBenchDir(const std::string& tag) {

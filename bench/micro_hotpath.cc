@@ -4,10 +4,12 @@
 // repo's perf-trajectory anchor for the dataflow hot path: every item pays
 // mailbox push/pop, in-flight accounting, routing and (optionally) a
 // serialise/deserialise round trip, so the numbers move whenever those costs
-// do. Each configuration runs `SDG_BENCH_REPS` times (default 3) and reports
-// the best rate — on a shared/small machine the peak is the stable statistic,
-// the mean just measures scheduler noise. Emits BENCH_hotpath.json next to
-// the printed table.
+// do. The `_ft` rows run with async-local checkpoints every 100 ms, so every
+// item is also written to the upstream-backup log and trimmed by checkpoint
+// acks. Each configuration runs `SDG_BENCH_REPS` times (default 5) and
+// reports the median rate with the interquartile range beside it
+// (`items_iqr_per_sec`). Emits BENCH_hotpath.json, stamped with the git
+// revision and host, next to the printed table.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -32,6 +34,7 @@ struct Config {
   size_t max_batch = 256;    // worker mailbox drain limit
   size_t inject_chunk = 64;  // tuples per InjectAll call
   uint32_t instances = 4;    // materialised `count` instances
+  bool ft = false;           // async-local checkpoints every 100 ms
 };
 
 int Reps() {
@@ -42,7 +45,7 @@ int Reps() {
       return v;
     }
   }
-  return 3;
+  return 5;
 }
 
 // feed (entry) --kPartitioned--> count (stateful, 4 partitions). Returns
@@ -67,6 +70,11 @@ double RunPipeline(const Config& cfg, double seconds) {
   o.num_nodes = cfg.nodes;
   o.serialize_cross_node = cfg.serialize;
   o.max_batch = cfg.max_batch;
+  if (cfg.ft) {
+    o.fault_tolerance.mode = runtime::FtMode::kAsyncLocal;
+    o.fault_tolerance.checkpoint_interval_s = 0.1;
+    o.fault_tolerance.store.root = FreshBenchDir("hotpath_" + cfg.name);
+  }
   runtime::Cluster cluster(o);
   auto d = cluster.Deploy(std::move(*g));
 
@@ -91,12 +99,14 @@ double RunPipeline(const Config& cfg, double seconds) {
   return processed / elapsed;
 }
 
-double BestOf(int reps, const Config& cfg, double seconds) {
-  double best = 0;
+// Ascending items/sec of `reps` runs.
+std::vector<double> Rates(int reps, const Config& cfg, double seconds) {
+  std::vector<double> rates;
   for (int r = 0; r < reps; ++r) {
-    best = std::max(best, RunPipeline(cfg, seconds));
+    rates.push_back(RunPipeline(cfg, seconds));
   }
-  return best;
+  std::sort(rates.begin(), rates.end());
+  return rates;
 }
 
 }  // namespace
@@ -127,16 +137,23 @@ int main() {
       {"4node_ser_inst64", 4, true, 256, 64, /*instances=*/64},
       {"4node_ser_inst256", 4, true, 256, 64, /*instances=*/256},
       {"4node_ser_inst1024", 4, true, 256, 64, /*instances=*/1024},
+      // Fault tolerance on: the upstream-backup log and its checkpoint trim
+      // join the hot path.
+      {"1node_ser_ft", 1, true, 256, 64, 4, /*ft=*/true},
+      {"4node_ser_ft", 4, true, 256, 64, 4, /*ft=*/true},
   };
 
   BenchJson json;
-  std::printf("%-22s %8s %10s %10s %10s %16s\n", "config", "nodes",
-              "serialize", "max_batch", "instances", "items/sec");
+  json.Stamp();
+  std::printf("%-22s %8s %10s %10s %10s %4s %16s %12s\n", "config", "nodes",
+              "serialize", "max_batch", "instances", "ft", "items/sec", "IQR");
   for (const auto& cfg : configs) {
-    double rate = BestOf(reps, cfg, seconds);
-    std::printf("%-22s %8u %10s %10zu %10u %16.0f\n", cfg.name.c_str(),
-                cfg.nodes, cfg.serialize ? "on" : "off", cfg.max_batch,
-                cfg.instances, rate);
+    const std::vector<double> rates = Rates(reps, cfg, seconds);
+    const double rate = Quantile(rates, 0.5);
+    const double iqr = Quantile(rates, 0.75) - Quantile(rates, 0.25);
+    std::printf("%-22s %8u %10s %10zu %10u %4s %16.0f %12.0f\n",
+                cfg.name.c_str(), cfg.nodes, cfg.serialize ? "on" : "off",
+                cfg.max_batch, cfg.instances, cfg.ft ? "on" : "off", rate, iqr);
     json.BeginRow();
     json.Add("config", cfg.name);
     json.Add("nodes", static_cast<uint64_t>(cfg.nodes));
@@ -145,7 +162,9 @@ int main() {
     json.Add("instances", static_cast<uint64_t>(cfg.instances));
     json.Add("reps", static_cast<uint64_t>(reps));
     json.Add("hw_threads", HwThreads());
+    json.Add("ft", std::string(cfg.ft ? "on" : "off"));
     json.Add("items_per_sec", rate);
+    json.Add("items_iqr_per_sec", iqr);
   }
   if (!json.WriteFile("BENCH_hotpath.json")) {
     std::printf("  warning: could not write BENCH_hotpath.json\n");

@@ -159,14 +159,6 @@ NetRun MeasureConfig(double duration_s, size_t batch_items,
   return run;
 }
 
-// Linear-interpolated quantile of an ascending vector.
-double Quantile(const std::vector<double>& sorted, double q) {
-  double pos = q * static_cast<double>(sorted.size() - 1);
-  size_t lo = static_cast<size_t>(pos);
-  size_t hi = std::min(lo + 1, sorted.size() - 1);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - static_cast<double>(lo));
-}
-
 void MeasureRow(BenchJson& json, double duration_s, size_t streams,
                 size_t batch, size_t payload) {
   const int reps = Reps();

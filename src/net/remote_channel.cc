@@ -66,13 +66,14 @@ Status RemoteChannel::ReplayLocked(uint64_t acked_ts) {
   std::vector<runtime::DataItem> pending =
       log_->ItemsAfter(kRemoteDest, acked_ts);
   for (size_t i = 0; i < pending.size(); i += kReplayBatch) {
-    std::vector<runtime::DataItem> batch;
-    for (size_t j = i; j < std::min(pending.size(), i + kReplayBatch); ++j) {
-      runtime::DataItem item = pending[j];
-      item.replayed = true;
-      batch.push_back(std::move(item));
+    const size_t end = std::min(pending.size(), i + kReplayBatch);
+    runtime::EncodedBatch batch;
+    batch.WriteHeader<uint32_t>(static_cast<uint32_t>(end - i));
+    for (size_t j = i; j < end; ++j) {
+      pending[j].replayed = true;
+      batch.Add(pending[j]);
     }
-    if (!SendBatchLocked(batch)) {
+    if (!SendBatchLocked(std::move(batch))) {
       return UnavailableError("connection lost during replay");
     }
   }
@@ -110,20 +111,14 @@ void RemoteChannel::DropStreamLocked() {
   }
 }
 
-bool RemoteChannel::SendBatchLocked(
-    const std::vector<runtime::DataItem>& items) {
+bool RemoteChannel::SendBatchLocked(runtime::EncodedBatch&& batch) {
   if (stream_ == nullptr || stream_->broken()) {
     return false;
   }
-  // The payload is serialized once and handed to the scatter-gather send
-  // path by move — the header lives inline in the queue entry, so no frame
-  // buffer is ever assembled.
-  BinaryWriter payload;
-  payload.Write<uint32_t>(static_cast<uint32_t>(items.size()));
-  for (const auto& item : items) {
-    item.Serialize(payload);
-  }
-  return stream_->Send(FrameType::kData, std::move(payload).TakeBuffer());
+  // The encoded batch is the payload, handed to the scatter-gather send path
+  // by move — the header lives inline in the queue entry, so no frame buffer
+  // is ever assembled.
+  return stream_->Send(FrameType::kData, std::move(batch).TakeBytes());
 }
 
 bool RemoteChannel::Deliver(runtime::DataItem item) {
@@ -141,15 +136,22 @@ size_t RemoteChannel::DeliverAll(std::vector<runtime::DataItem>&& items) {
   if (!EnsureConnectedLocked().ok()) {
     return 0;
   }
+  // Each item is encoded once: the same bytes become the log entries and
+  // the kData payload (item count, then the encodings).
+  runtime::EncodedBatch batch;
+  batch.WriteHeader<uint32_t>(static_cast<uint32_t>(count));
+  for (const auto& item : items) {
+    batch.Add(item);
+  }
   // Log-before-send: once an entry is in the upstream-backup buffer, a lost
   // wire delivery is recoverable by replay, so a Send failure below is not
   // data loss — the next Deliver* reconnects and replays.
-  log_->AppendAll(items, kRemoteDest);
+  log_->AppendEncoded(batch, kRemoteDest);
   // From here the batch counts as accepted no matter what the wire does:
   // once logged, the items reach the receiver via reconnect-replay, and
   // reporting failure would invite the caller to resend fresh copies whose
   // replayed=false duplicates bypass downstream dedup.
-  if (!SendBatchLocked(items)) {
+  if (!SendBatchLocked(std::move(batch))) {
     (void)EnsureConnectedLocked();  // immediate repair attempt (replays)
   }
   return count;

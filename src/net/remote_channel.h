@@ -12,9 +12,10 @@
 //   1. Open a stream (deployment id, source TE id/instance, destination
 //      entry name, emit-clock). The open-ack carries the receiver's durable
 //      watermark for this source.
-//   2. Every delivered item is appended to the attached OutputBuffer (the
-//      upstream-backup log) BEFORE it is framed, then sent as a kData batch
-//      within the stream's credit window (backpressure).
+//   2. Every delivered batch is encoded once; the encodings are appended to
+//      the attached OutputBuffer (the upstream-backup log) BEFORE the same
+//      bytes are sent as a kData payload within the stream's credit window
+//      (backpressure).
 //   3. Acks (coalesced per socket in kMuxAckBatch) trim the log: entries at
 //      or below the watermark are durable at the receiver and will never be
 //      replayed.
@@ -116,8 +117,9 @@ class RemoteChannel final : public runtime::DeliveryTarget {
   Status EnsureConnectedLocked();
   // Detaches and drops the current stream, if any; under send_mutex_.
   void DropStreamLocked();
-  // Frames and sends one batch; false on wire failure. Under send_mutex_.
-  bool SendBatchLocked(const std::vector<runtime::DataItem>& items);
+  // Sends one encoded batch (item-count header, then the encodings) as a
+  // kData frame; false on wire failure. Under send_mutex_.
+  bool SendBatchLocked(runtime::EncodedBatch&& batch);
   void HandleAck(uint64_t acked_ts);
   // Starts one bounded background reconnect round (dedup'd: at most one in
   // flight). Called from the stream's on_error.

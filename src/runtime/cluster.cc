@@ -72,23 +72,36 @@ uint32_t CkptParallelism(const FaultToleranceOptions& ft) {
   return std::min<uint32_t>(hw == 0 ? 1 : hw, 8);
 }
 
-// Serialise/deserialise round trip for items crossing a node boundary. The
-// writer is a thread-local scratch whose capacity is reused across items, and
-// the reader decodes straight out of it — no per-item byte-buffer allocation.
-DataItem SerializedRoundTrip(DataItem item) {
-  thread_local BinaryWriter scratch;
+// Encodes a delivery group once into a thread-local scratch (its capacity
+// persists across groups), logs the bytes in `log` under `dest` if given, and
+// with `decode` replaces the items by copies decoded from the same bytes:
+// items crossing a node boundary are serialised to keep the
+// location-independence contract honest (§4.1). Nothing here delivers, so a
+// nested slice help-run on this thread cannot touch the scratch mid-use.
+void EncodeGroup(std::vector<DataItem>& items, OutputBuffer* log,
+                 uint32_t dest, bool decode) {
+  thread_local EncodedBatch scratch;
   scratch.Clear();
-  item.Serialize(scratch);
-  auto back = DataItem::FromBytes(scratch.data(), scratch.size());
-  SDG_CHECK(back.ok()) << "node-boundary round-trip failed";
-  return std::move(*back);
+  for (const auto& item : items) {
+    scratch.Add(item);
+  }
+  if (log != nullptr) {
+    log->AppendEncoded(scratch, dest);
+  }
+  if (decode) {
+    for (size_t i = 0; i < items.size(); ++i) {
+      items[i] = scratch.Decode(i);
+    }
+  }
 }
 
 // One delivery group a worker thread has routed but not yet pushed: items for
 // one (downstream task, destination instance) pair, in emit order. Groups
 // hold no instance pointer — destinations are re-resolved under the topology
 // lock at flush time, so a group may safely outlive a kill/recover cycle of
-// its destination. `ti` is transient flush-local scratch.
+// its destination. `ti` is transient flush-local scratch. `decoded` is set
+// when RouteEmits already replaced the items by copies decoded from their
+// logged encodings, so the flush must not round-trip them again.
 struct StagedGroup {
   graph::TaskId task = 0;
   uint32_t dest = 0;
@@ -96,6 +109,7 @@ struct StagedGroup {
   graph::TaskId src_task = 0;  // emitting TE, for edge-fault rule matching
   TaskInstance* ti = nullptr;
   std::vector<DataItem> items;
+  bool decoded = false;
 };
 
 // Per-thread staging area. RouteEmits runs inside one instance's slice and
@@ -259,109 +273,9 @@ Status Deployment::Start() {
 
 Status Deployment::Inject(std::string_view entry, Tuple tuple,
                           uint64_t user_tag) {
-  if (!started_.load() || shut_down_.load()) {
-    return FailedPreconditionError("deployment is not running");
-  }
-  std::shared_lock ingest(ingest_gate_);
-  SDG_ASSIGN_OR_RETURN(graph::TaskId task, sdg_.TaskByName(entry));
-  const auto& te = sdg_.task(task);
-  if (!te.is_entry) {
-    return InvalidArgumentError("task '" + std::string(entry) +
-                                "' is not an entry point");
-  }
-
-  // The per-entry lock makes (timestamp, buffer append, dispatch) atomic so
-  // per-source FIFO timestamps stay monotone at every destination.
-  std::lock_guard<std::mutex> entry_lock(*external_locks_.at(task));
-
-  DataItem item;
-  item.from = SourceId{kExternalTask, task};
-  item.ts = external_clocks_.at(task)->Next();
-  item.user_tag = user_tag;
-  item.payload = std::move(tuple);
-
-  std::shared_lock topo(topo_mutex_);
-  const auto& slots = task_instances_[task];
-  uint32_t n = static_cast<uint32_t>(slots.size());
-  if (n == 0) {
-    return UnavailableError("entry task has no instances");
-  }
-
-  std::vector<std::pair<uint32_t, DataItem>> deliveries;
-  if (te.access == graph::AccessMode::kPartitioned) {
-    int key_field = te.entry_key_field;
-    if (key_field < 0 || static_cast<size_t>(key_field) >= item.payload.size()) {
-      return InvalidArgumentError("entry tuple lacks the partition key field");
-    }
-    uint32_t dest = static_cast<uint32_t>(item.payload[key_field].Hash() % n);
-    if (buffering_enabled_) {
-      external_buffers_.at(task)->Append(item, dest);
-    }
-    deliveries.emplace_back(dest, std::move(item));
-  } else if (te.access == graph::AccessMode::kGlobal) {
-    item.barrier_id = barrier_seq_.fetch_add(1);
-    item.expected_partials = n;
-    for (uint32_t j = 0; j < n; ++j) {
-      if (buffering_enabled_) {
-        external_buffers_.at(task)->Append(item, j);
-      }
-      if (j + 1 < n) {
-        deliveries.emplace_back(j, item);
-      } else {
-        deliveries.emplace_back(j, std::move(item));
-      }
-    }
-  } else {
-    // Local / stateless entries load-balance (one-to-any).
-    uint32_t dest = static_cast<uint32_t>(item.ts % n);
-    if (buffering_enabled_) {
-      external_buffers_.at(task)->Append(item, dest);
-    }
-    deliveries.emplace_back(dest, std::move(item));
-  }
-
-  std::vector<std::pair<TaskInstance*, DataItem>> pushes;
-  pushes.reserve(deliveries.size());
-  for (auto& [dest, it] : deliveries) {
-    if (slots[dest]) {
-      pushes.emplace_back(slots[dest].get(), std::move(it));
-    }
-  }
-  topo.unlock();
-
-  for (auto& [ti, it] : pushes) {
-    if (fault_injector_ != nullptr) {
-      // Faults apply after the buffer append above: a dropped item is a lost
-      // network delivery that replay can still restore from the buffer.
-      std::vector<DataItem> group;
-      group.push_back(std::move(it));
-      fault_injector_->ApplyToGroup(kExternalTask, task, group);
-      if (options_.serialize_cross_node) {
-        for (auto& item : group) {
-          item = SerializedRoundTrip(std::move(item));
-        }
-      }
-      const size_t count = group.size();
-      if (count == 0) {
-        continue;
-      }
-      AccountDelivered(count);
-      size_t accepted = ti->DeliverAll(std::move(group));
-      if (accepted < count) {
-        AccountDone(count - accepted);
-      }
-      continue;
-    }
-    // Injection crosses the client/cluster boundary: always serialise.
-    if (options_.serialize_cross_node) {
-      it = SerializedRoundTrip(std::move(it));
-    }
-    AccountDelivered(1);
-    if (!ti->Deliver(std::move(it))) {
-      AccountDone(1);
-    }
-  }
-  return Status::Ok();
+  std::vector<Tuple> one;
+  one.push_back(std::move(tuple));
+  return InjectAll(entry, std::move(one), user_tag);
 }
 
 Status Deployment::InjectAll(std::string_view entry, std::vector<Tuple> tuples,
@@ -434,17 +348,11 @@ Status Deployment::InjectAll(std::string_view entry, std::vector<Tuple> tuples,
       if (te.access == graph::AccessMode::kPartitioned) {
         uint32_t dest = static_cast<uint32_t>(
             item.payload[te.entry_key_field].Hash() % n);
-        if (ext_buffer != nullptr) {
-          ext_buffer->Append(item, dest);
-        }
         stage(dest, slots[dest] ? slots[dest].get() : nullptr, std::move(item));
       } else if (te.access == graph::AccessMode::kGlobal) {
         item.barrier_id = barrier_seq_.fetch_add(1);
         item.expected_partials = n;
         for (uint32_t j = 0; j < n; ++j) {
-          if (ext_buffer != nullptr) {
-            ext_buffer->Append(item, j);
-          }
           TaskInstance* ti = slots[j] ? slots[j].get() : nullptr;
           if (j + 1 < n) {
             stage(j, ti, item);
@@ -455,10 +363,19 @@ Status Deployment::InjectAll(std::string_view entry, std::vector<Tuple> tuples,
       } else {
         // Local / stateless entries load-balance (one-to-any).
         uint32_t dest = static_cast<uint32_t>(item.ts % n);
-        if (ext_buffer != nullptr) {
-          ext_buffer->Append(item, dest);
-        }
         stage(dest, slots[dest] ? slots[dest].get() : nullptr, std::move(item));
+      }
+    }
+    // Encode each group once and log it while the topology lock is held:
+    // every item is in the log before a KillNode (which takes neither the
+    // ingest gate nor the entry lock) can remove the instance it was routed
+    // to, after which replay from this log is its only way in. Injection
+    // crosses the client/cluster boundary, so with serialize_cross_node every
+    // group is delivered as copies decoded from the same bytes.
+    if (ext_buffer != nullptr || options_.serialize_cross_node) {
+      for (auto& g : groups) {
+        EncodeGroup(g.items, ext_buffer, g.dest,
+                    options_.serialize_cross_node && g.ti != nullptr);
       }
     }
   }
@@ -473,12 +390,6 @@ Status Deployment::InjectAll(std::string_view entry, std::vector<Tuple> tuples,
       fault_injector_->ApplyToGroup(kExternalTask, task, g.items);
       if (g.items.empty()) {
         continue;
-      }
-    }
-    // Injection crosses the client/cluster boundary: always serialise.
-    if (options_.serialize_cross_node) {
-      for (auto& item : g.items) {
-        item = SerializedRoundTrip(std::move(item));
       }
     }
     const size_t count = g.items.size();
@@ -711,7 +622,8 @@ void Deployment::RouteEmits(TaskInstance& src, std::vector<PendingEmit>& emits,
         return;
       }
     }
-    groups.push_back(StagedGroup{task, dest, src_node, src.task_id(), nullptr, {}});
+    groups.push_back(
+        StagedGroup{task, dest, src_node, src.task_id(), nullptr, {}, false});
     groups.back().items.push_back(std::move(item));
   };
 
@@ -835,6 +747,21 @@ void Deployment::RouteEmits(TaskInstance& src, std::vector<PendingEmit>& emits,
         }
       }
     }
+    if (buffering_enabled_) {
+      // Upstream-backup log first — an item must be in its source's buffer
+      // before any downstream effect of it can be checkpointed — and, as in
+      // InjectAll, before the topology lock is released. Each group is
+      // encoded once, and a group bound for another node is delivered as
+      // copies decoded from the logged bytes. With buffering on the thread's
+      // groups hold only this item's emits (every RouteEmits flushes before
+      // returning).
+      for (auto& g : groups) {
+        const auto& slots = task_instances_[g.task];
+        g.decoded = options_.serialize_cross_node && g.dest < slots.size() &&
+                    slots[g.dest] && slots[g.dest]->node() != src_node;
+        EncodeGroup(g.items, &src.BufferFor(g.task), g.dest, g.decoded);
+      }
+    }
   }
 
   // Take this item's sink tuples out of the thread_local before anything can
@@ -850,17 +777,12 @@ void Deployment::RouteEmits(TaskInstance& src, std::vector<PendingEmit>& emits,
   AccountDelivered(staged_count);
 
   if (buffering_enabled_) {
-    // Upstream-backup log first — an item must be in its source's buffer
-    // before any downstream effect of it can be checkpointed — then flush
-    // inside this item's step-lock scope. Deferring delivery past the step
-    // lock would let a checkpoint cover the item while its outputs sit
+    // Flush inside this item's step-lock scope. Deferring delivery past the
+    // step lock would let a checkpoint cover the item while its outputs sit
     // undelivered in this thread; a downstream replay plus the late original
     // push would then double-deliver (originals carry replayed=false and
     // bypass dedup). With buffering off no replay exists, so OnItemsDone
     // flushes once per drained batch instead.
-    for (auto& g : groups) {
-      src.BufferFor(g.task).AppendAll(g.items, g.dest);
-    }
     FlushStagedDeliveries();
   }
   for (auto& tuple : local_sinks) {
@@ -903,6 +825,10 @@ void Deployment::FlushStagedDeliveries() {
       AccountDone(g.items.size());
       continue;
     }
+    if (options_.serialize_cross_node && !g.decoded &&
+        g.ti->node() != g.src_node) {
+      EncodeGroup(g.items, nullptr, 0, /*decode=*/true);
+    }
     if (fault_injector_ != nullptr) {
       // The upstream-backup log (RouteEmits) already holds the originals, so
       // a drop here models a lost network delivery that replay can restore.
@@ -918,13 +844,6 @@ void Deployment::FlushStagedDeliveries() {
         continue;
       }
     }
-    // Items crossing a node boundary are serialised to keep the location-
-    // independence contract honest (§4.1).
-    if (options_.serialize_cross_node && g.ti->node() != g.src_node) {
-      for (auto& item : g.items) {
-        item = SerializedRoundTrip(std::move(item));
-      }
-    }
     const size_t count = g.items.size();
     size_t accepted = g.ti->DeliverAll(std::move(g.items));
     if (accepted < count) {
@@ -937,8 +856,7 @@ void Deployment::FlushStagedDeliveries() {
   }
 }
 
-void Deployment::DeliverTo(graph::TaskId task, uint32_t dest, DataItem item,
-                           uint32_t src_node) {
+void Deployment::DeliverTo(graph::TaskId task, uint32_t dest, DataItem item) {
   TaskInstance* ti = nullptr;
   {
     std::shared_lock topo(topo_mutex_);
@@ -947,11 +865,6 @@ void Deployment::DeliverTo(graph::TaskId task, uint32_t dest, DataItem item,
       return;  // lost instance: upstream buffer retains the item for replay
     }
     ti = slots[dest].get();
-  }
-  // Items crossing a node boundary are serialised to keep the location-
-  // independence contract honest (§4.1).
-  if (options_.serialize_cross_node && ti->node() != src_node) {
-    item = SerializedRoundTrip(std::move(item));
   }
   AccountDelivered(1);
   if (!ti->Deliver(std::move(item))) {
@@ -1779,19 +1692,18 @@ void Deployment::CheckpointDriverLoop() {
 // --- Output-buffer (de)serialisation -------------------------------------------
 
 std::vector<uint8_t> Deployment::SerializeBuffers(TaskInstance& ti) {
-  BinaryWriter w;
-  std::vector<std::pair<graph::TaskId, std::vector<OutputBuffer::Entry>>> all;
+  // Per buffer: the downstream task id, then its entries' logged encodings
+  // (OutputBuffer::WriteEntries; read back by RestoreEntries).
+  // Buffers are never removed, so the pointers outlive the enumeration.
+  std::vector<std::pair<graph::TaskId, OutputBuffer*>> buffers;
   ti.ForEachBuffer([&](graph::TaskId task, OutputBuffer& buffer) {
-    all.emplace_back(task, buffer.Snapshot());
+    buffers.emplace_back(task, &buffer);
   });
-  w.Write<uint32_t>(static_cast<uint32_t>(all.size()));
-  for (const auto& [task, entries] : all) {
+  BinaryWriter w;
+  w.Write<uint32_t>(static_cast<uint32_t>(buffers.size()));
+  for (const auto& [task, buffer] : buffers) {
     w.Write<uint32_t>(task);
-    w.Write<uint64_t>(entries.size());
-    for (const auto& e : entries) {
-      w.Write<uint32_t>(e.dest_instance);
-      e.item.Serialize(w);
-    }
+    buffer->WriteEntries(w);
   }
   return std::move(w).TakeBuffer();
 }
@@ -1802,13 +1714,7 @@ Status Deployment::RestoreBuffers(TaskInstance& ti,
   SDG_ASSIGN_OR_RETURN(uint32_t num_buffers, r.Read<uint32_t>());
   for (uint32_t b = 0; b < num_buffers; ++b) {
     SDG_ASSIGN_OR_RETURN(uint32_t task, r.Read<uint32_t>());
-    SDG_ASSIGN_OR_RETURN(uint64_t count, r.Read<uint64_t>());
-    OutputBuffer& buffer = ti.BufferFor(task);
-    for (uint64_t i = 0; i < count; ++i) {
-      SDG_ASSIGN_OR_RETURN(uint32_t dest, r.Read<uint32_t>());
-      SDG_ASSIGN_OR_RETURN(DataItem item, DataItem::Deserialize(r));
-      buffer.RestoreEntry(item, dest);
-    }
+    SDG_RETURN_IF_ERROR(ti.BufferFor(task).RestoreEntries(r));
   }
   return Status::Ok();
 }
@@ -1998,6 +1904,23 @@ Status Deployment::RecoverNode(uint32_t failed,
     SDG_RETURN_IF_ERROR(
         fault_injector_->CheckCrash("restore.install", CrashPhase::kBefore));
   }
+  // Fresh injections must not overtake the external replay of phase 3: a
+  // fresh item processed first raises the recovered instance's last-seen
+  // watermark past the replayed items, and dedup then drops them. Holding
+  // the recovered entries' injection locks (InjectAll takes the same ones)
+  // from install through replay queues fresh items behind the replay.
+  std::vector<std::unique_lock<std::mutex>> entry_locks;
+  {
+    std::set<graph::TaskId> entries;  // ascending: one lock order
+    for (const auto& tm : meta.tasks) {
+      if (sdg_.task(tm.task).is_entry) {
+        entries.insert(tm.task);
+      }
+    }
+    for (graph::TaskId t : entries) {
+      entry_locks.emplace_back(*external_locks_.at(t));
+    }
+  }
   std::vector<TaskInstance*> new_instances;
   std::set<graph::TaskId> split_tasks;  // re-instantiated n-way (old dest = 0)
   {
@@ -2102,7 +2025,7 @@ Status Deployment::RecoverNode(uint32_t failed,
       for (auto& entry : entries) {
         DataItem item = std::move(entry.item);
         item.replayed = true;
-        DeliverTo(downstream, entry.dest_instance, std::move(item), UINT32_MAX);
+        DeliverTo(downstream, entry.dest_instance, std::move(item));
       }
     }
   }
@@ -2116,8 +2039,7 @@ Status Deployment::RecoverNode(uint32_t failed,
     // recovery the recorded destination is exact.
     const uint32_t old_dest = split ? 0 : ti->instance_id();
 
-    auto replay_to_self = [&](const DataItem& item, int key_field) {
-      DataItem replay = item;
+    auto replay_to_self = [&](DataItem replay, int key_field) {
       replay.replayed = true;
       if (split && te.access == graph::AccessMode::kPartitioned &&
           key_field >= 0) {
@@ -2136,7 +2058,7 @@ Status Deployment::RecoverNode(uint32_t failed,
         // stream (others start fresh).
         return;
       }
-      DeliverTo(t, ti->instance_id(), std::move(replay), UINT32_MAX);
+      DeliverTo(t, ti->instance_id(), std::move(replay));
     };
 
     // External replay for entry TEs.
@@ -2148,7 +2070,7 @@ Status Deployment::RecoverNode(uint32_t failed,
         auto items = it->second->ItemsAfter(old_dest, from_ts);
         topo.unlock();
         for (auto& item : items) {
-          replay_to_self(item, te.entry_key_field);
+          replay_to_self(std::move(item), te.entry_key_field);
         }
       }
     }
@@ -2167,7 +2089,7 @@ Status Deployment::RecoverNode(uint32_t failed,
         uint64_t from_ts =
             ti->LastSeenFrom(SourceId{edge->from, u->instance_id()});
         for (auto& item : u->BufferFor(t).ItemsAfter(old_dest, from_ts)) {
-          replay_to_self(item, edge->key_field);
+          replay_to_self(std::move(item), edge->key_field);
         }
       }
     }

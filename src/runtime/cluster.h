@@ -306,8 +306,9 @@ class Deployment final : public RuntimeHooks {
   // instance = entry TE id.
   static constexpr uint32_t kExternalTask = 0xFFFFFFFFu;
 
-  void DeliverTo(graph::TaskId task, uint32_t dest, DataItem item,
-                 uint32_t src_node);
+  // Pushes one replayed item. Replayed items are copies decoded from their
+  // log encodings, so they need no further node-boundary round trip.
+  void DeliverTo(graph::TaskId task, uint32_t dest, DataItem item);
   uint32_t PickLeastLoadedNode(bool avoid_stragglers) const;
 
   // In-flight accounting: every delivered item is counted before its mailbox
@@ -320,7 +321,8 @@ class Deployment final : public RuntimeHooks {
   // Delivers every group the calling worker thread staged in RouteEmits:
   // destination instances are re-resolved under the topology lock (staged
   // groups hold no instance pointers), items crossing a node boundary are
-  // serialised, and each group lands with one mailbox push. Groups whose
+  // decoded from their wire encodings, and each group lands with one mailbox
+  // push. Groups whose
   // destination is gone are dropped and released from in-flight accounting.
   // Called per input item when upstream backup is on, per drained mailbox
   // batch otherwise.

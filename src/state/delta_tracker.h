@@ -9,10 +9,12 @@
 //
 //   Touch(id)        every mutation, under the backend's state lock
 //   Freeze()         at BeginCheckpoint — the accumulated change set becomes
-//                    this epoch's frozen set; later writes accrue to the next
+//                    this epoch's frozen set; later writes accrue to the next,
+//                    which starts with room for as many ids
 //   Ready()          true when the frozen set applied over the previous
 //                    committed epoch reconstructs the state (else: full base)
 //   Resolve(true)    epoch durable — commit the baseline, drop the frozen set
+//                    (handed back for the caller to free outside its locks)
 //   Resolve(false)   epoch abandoned — merge the frozen set back so the next
 //                    delta is a superset (a superset delta restores the same
 //                    state, so an epoch whose durability is uncertain — e.g.
@@ -47,6 +49,9 @@ class DeltaTracker {
     }
     frozen_ = std::move(changed_);
     changed_.clear();
+    // The next epoch tends to touch about as many ids: start at that size
+    // instead of regrowing from zero buckets.
+    changed_.reserve(frozen_.size());
   }
 
   bool Ready() const { return enabled_ && has_base_; }
@@ -56,17 +61,18 @@ class DeltaTracker {
   // checkpoint is active (writes go to `changed_`).
   const std::unordered_set<Id>& frozen() const { return frozen_; }
 
-  void Resolve(bool committed) {
+  // Hands the resolved frozen set back, either way, so the caller can free it
+  // after releasing the state lock.
+  std::unordered_set<Id> Resolve(bool committed) {
     if (!enabled_) {
-      return;
+      return {};
     }
     if (committed) {
       has_base_ = true;
-      frozen_.clear();
     } else {
       changed_.insert(frozen_.begin(), frozen_.end());
-      frozen_.clear();
     }
+    return std::exchange(frozen_, {});
   }
 
   void Invalidate() {

@@ -40,7 +40,9 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "src/common/logging.h"
 #include "src/state/delta_tracker.h"
@@ -310,9 +312,15 @@ class ShardedState {
   }
 
   void ResolveEpoch(bool committed) {
-    AllWriteGuard guard(*this);
-    for (uint32_t s = 0; s < num_shards_; ++s) {
-      stripes_[s].delta.Resolve(committed);
+    // The resolved frozen sets are freed after the all-stripe guard is
+    // released: freeing an epoch's worth of ids under it would park every
+    // writer of the partition.
+    std::vector<std::unordered_set<DeltaId>> resolved(num_shards_);
+    {
+      AllWriteGuard guard(*this);
+      for (uint32_t s = 0; s < num_shards_; ++s) {
+        resolved[s] = stripes_[s].delta.Resolve(committed);
+      }
     }
   }
 

@@ -1,11 +1,15 @@
 // Failure-recovery tests: checkpoints, kill, m-to-n restore, and replay (§5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <chrono>
 #include <map>
 #include <mutex>
+#include <thread>
+#include <vector>
 
 #include "src/graph/sdg.h"
 #include "src/runtime/cluster.h"
@@ -306,6 +310,94 @@ TEST(RecoveryTest, MigrateNodeMovesStateAndKeepsServing) {
     EXPECT_EQ(all[k], k * 7) << "key " << k;
   }
   EXPECT_FALSE((*d)->MigrateNode(1, {1}).ok());  // self-migration rejected
+}
+
+// One thread injects 64-put batches without pausing while the main thread
+// kills the partition's host and recovers it elsewhere, three times; every
+// key must end with its last put. KillNode/RecoverNode do not take the
+// ingest gate, so this needs every injected item in the log before a
+// recovery replays it, and no fresh item reaching the recovered instance
+// ahead of the replay (its watermark would make dedup drop the replayed
+// items). Values are the put's sequence number, so the last put of each key
+// is known without a per-write log.
+TEST(RecoveryTest, ConcurrentInjectionAcrossKillAndRecover) {
+  ScopedTestDir dir("rec_concurrent_inject");
+  auto g = BuildKvGraph();
+  ASSERT_TRUE(g.ok());
+  constexpr uint32_t kNodes = 4;
+  Cluster cluster(FtCluster(dir.path(), FtMode::kAsyncLocal, kNodes));
+  auto d = cluster.Deploy(std::move(*g));
+  ASSERT_TRUE(d.ok());
+  Deployment& dep = **d;
+
+  constexpr int64_t kKeys = 1 << 16;
+  constexpr int64_t kBatch = 64;
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> batches{0};
+  std::thread injector([&] {
+    for (int64_t b = 0; !stop.load(std::memory_order_acquire); ++b) {
+      std::vector<Tuple> batch;
+      for (int64_t i = 0; i < kBatch; ++i) {
+        const int64_t seq = b * kBatch + i;
+        batch.push_back(Tuple{Value(seq % kKeys), Value(seq)});
+      }
+      if (!dep.InjectAll("put", std::move(batch)).ok()) {
+        ADD_FAILURE() << "InjectAll failed at batch " << b;
+        return;
+      }
+      batches.store(b + 1, std::memory_order_release);
+    }
+  });
+  // Blocks until the injector has pushed `n` more batches.
+  auto await_batches = [&](int64_t n) {
+    const int64_t target = batches.load(std::memory_order_acquire) + n;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (batches.load(std::memory_order_acquire) < target &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  };
+
+  for (int round = 0; round < 3; ++round) {
+    await_batches(16);
+    ASSERT_TRUE(dep.CheckpointAllNodes().ok()) << "round " << round;
+    await_batches(16);  // a post-checkpoint tail for the replay
+    const uint32_t host = dep.NodeOfStateInstance("dict", 0);
+    ASSERT_LT(host, kNodes);
+    ASSERT_TRUE(dep.KillNode(host).ok()) << "round " << round;
+    uint32_t target = kNodes;
+    for (uint32_t n = 0; n < kNodes; ++n) {
+      if (n != host && dep.NodeAlive(n)) {
+        target = n;
+        break;
+      }
+    }
+    ASSERT_LT(target, kNodes);
+    ASSERT_TRUE(dep.RecoverNode(host, {target}).ok()) << "round " << round;
+  }
+  stop.store(true, std::memory_order_release);
+  injector.join();
+  dep.Drain();
+
+  const int64_t total = batches.load() * kBatch;
+  ASSERT_GT(total, 0);
+  auto* dict = StateAs<IntDict>(dep.StateInstance("dict", 0));
+  ASSERT_NE(dict, nullptr);
+  int64_t wrong = 0;
+  for (int64_t k = 0; k < std::min(kKeys, total); ++k) {
+    // The last seq < total that maps to key k.
+    const int64_t last = k + ((total - 1 - k) / kKeys) * kKeys;
+    auto v = dict->Get(k);
+    if (!v.has_value() || *v != last) {
+      if (++wrong <= 5) {
+        ADD_FAILURE() << "key " << k << " holds "
+                      << (v.has_value() ? std::to_string(*v) : "nothing")
+                      << ", last put was " << last;
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0) << "of " << std::min(kKeys, total) << " keys";
 }
 
 TEST(RecoveryTest, RecoverNodeRejectsBadReplacementLists) {
